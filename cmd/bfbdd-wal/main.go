@@ -310,12 +310,7 @@ func runReplay(args []string) error {
 		fmt.Printf("closed:    the history ends with a close record\n")
 	}
 	fmt.Printf("handles:   %d live, next handle %d\n", len(st.Handles), st.NextHandle+1)
-	hs := make([]uint64, 0, len(st.Handles))
-	for h := range st.Handles {
-		hs = append(hs, h)
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	for _, h := range hs {
+	for _, h := range st.IDs() {
 		b := st.Handles[h]
 		fmt.Printf("  handle %-8d size %-10d signature %s\n", h, b.Size(), signature(m, b))
 	}

@@ -2,13 +2,13 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
 	"bfbdd"
 	"bfbdd/internal/trace"
 	"bfbdd/internal/wal"
+	"bfbdd/internal/walreplay"
 )
 
 // applyResult carries one coalesced operation's outcome back to its
@@ -130,8 +130,11 @@ func (c *coalescer) flush() {
 	}
 }
 
-// runBatch executes one coalesced batch on the executor goroutine:
-// resolve handles, ApplyBatchCtx, register results.
+// runBatch executes one coalesced batch on the executor goroutine. Calls
+// whose operands are missing get their own error; the rest go through
+// session.mutate as one record — a bare apply for a single call, one
+// batch otherwise — so they share one engine batch and one journal
+// commit.
 //
 // Trace shape: every traced call gets a "queue-wait" span covering the
 // interval from submit to the batch reaching the executor. The first
@@ -163,108 +166,50 @@ func (c *coalescer) runBatch(ctx context.Context, calls []*applyCall) {
 	}
 	if owner != nil {
 		ctx = trace.NewContext(ctx, owner.tr, batchSpan)
-		defer func() {
-			owner.tr.End(batchSpan,
-				trace.I("batch_id", batchID), trace.I("ops", int64(len(calls))))
-		}()
 	}
 
-	ops := make([]bfbdd.BatchOp, 0, len(calls))
-	live := make([]*applyCall, 0, len(calls))
-	for _, call := range calls {
-		f, errF := c.sess.bdd(call.f)
-		if errF != nil {
-			call.resp <- applyResult{err: errF}
+	out := make([]applyResult, len(calls))
+	ops := make([]wal.ApplyRec, 0, len(calls))
+	idx := make([]int, 0, len(calls)) // ops[j] is calls[idx[j]]
+	for i, call := range calls {
+		if _, err := c.sess.tab.Get(call.f); err != nil {
+			out[i].err = err
 			continue
 		}
-		g, errG := c.sess.bdd(call.g)
-		if errG != nil {
-			call.resp <- applyResult{err: errG}
+		if _, err := c.sess.tab.Get(call.g); err != nil {
+			out[i].err = err
 			continue
 		}
-		ops = append(ops, bfbdd.BatchOp{Kind: call.kind, F: f, G: g})
-		live = append(live, call)
+		ops = append(ops, wal.ApplyRec{Op: uint8(call.kind), F: call.f, G: call.g})
+		idx = append(idx, i)
 	}
-	if len(live) == 0 {
-		return
-	}
-	var before bfbdd.Stats
-	if c.sess.slowThreshold > 0 {
-		before = c.sess.mgr.Stats()
-	}
-	results, err := c.sess.mgr.ApplyBatchCtx(ctx, ops)
-	c.sess.noteSlowBuild("apply", time.Since(started), before)
-	if err != nil {
+	if len(ops) > 0 {
+		// A partly completed batch (budget abort, injected fault) still
+		// acknowledges the calls whose ops finished; the rest get the
+		// abort.
+		handles, res, err := c.sess.mutate(ctx, walreplay.Applies(ops))
 		c.sess.noteFailure(err)
-		err = fmt.Errorf("batch build aborted: %w", err)
-		// A partially completed batch (budget abort, injected fault) still
-		// produced some results; their callers get real handles — which
-		// means those operations are acknowledged and must hit the journal
-		// first, as one commit group. If the journal refuses, every caller
-		// sees the failure and the puts are rolled back.
-		var recs []wal.ApplyRec
-		var kept []*bfbdd.BDD
-		var keptIdx []int
-		for i, b := range results {
-			if b == nil {
-				continue
+		if err == nil {
+			c.m.coalescedBatches.Add(1)
+			c.m.coalescedOps.Add(uint64(len(ops)))
+		}
+		for j, i := range idx {
+			if handles != nil && handles[j] != 0 {
+				out[i] = applyResult{handle: handles[j], nodes: res[j].Size()}
+			} else {
+				out[i].err = err
 			}
-			h := c.sess.put(b)
-			recs = append(recs, wal.ApplyRec{Op: uint8(live[i].kind), F: live[i].f, G: live[i].g, Handle: h})
-			kept = append(kept, b)
-			keptIdx = append(keptIdx, i)
 		}
-		if jerr := journalAppliesT(c.sess, ownerTrace(owner), batchSpan, recs); jerr != nil {
-			for i := len(kept) - 1; i >= 0; i-- {
-				c.sess.unput(recs[i].Handle, kept[i])
-			}
-			for _, call := range live {
-				call.resp <- applyResult{err: jerr}
-			}
-			return
-		}
-		done := make(map[int]int, len(keptIdx)) // live index -> recs index
-		for ri, i := range keptIdx {
-			done[i] = ri
-		}
-		for i, call := range live {
-			if ri, ok := done[i]; ok {
-				call.resp <- applyResult{handle: recs[ri].Handle, nodes: kept[ri].Size()}
-				continue
-			}
-			call.resp <- applyResult{err: err}
-		}
-		return
 	}
-	handles := make([]uint64, len(live))
-	recs := make([]wal.ApplyRec, len(live))
-	for i, call := range live {
-		handles[i] = c.sess.put(results[i])
-		recs[i] = wal.ApplyRec{Op: uint8(call.kind), F: call.f, G: call.g, Handle: handles[i]}
+	// End the batch span before answering anyone: a traced request seals
+	// its trace as soon as it returns, and the owner may return first.
+	if owner != nil {
+		owner.tr.End(batchSpan,
+			trace.I("batch_id", batchID), trace.I("ops", int64(len(calls))))
 	}
-	if jerr := journalAppliesT(c.sess, ownerTrace(owner), batchSpan, recs); jerr != nil {
-		for i := len(live) - 1; i >= 0; i-- {
-			c.sess.unput(handles[i], results[i])
-		}
-		for _, call := range live {
-			call.resp <- applyResult{err: jerr}
-		}
-		return
+	for i, call := range calls {
+		call.resp <- out[i]
 	}
-	c.m.coalescedBatches.Add(1)
-	c.m.coalescedOps.Add(uint64(len(live)))
-	for i, call := range live {
-		call.resp <- applyResult{handle: handles[i], nodes: results[i].Size()}
-	}
-}
-
-// ownerTrace returns the owning call's trace, nil when the batch has no
-// traced member.
-func ownerTrace(owner *applyCall) *trace.Trace {
-	if owner == nil {
-		return nil
-	}
-	return owner.tr
 }
 
 // close rejects future submits and fails any batch still forming. Queued

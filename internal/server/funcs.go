@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -321,18 +320,14 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	err = run(r, sess, func(context.Context) error {
 		handles := req.Handles
 		if len(handles) == 0 {
-			handles = make([]uint64, 0, len(sess.handles))
-			for h := range sess.handles {
-				handles = append(handles, h)
-			}
-			slices.Sort(handles)
+			handles = sess.tab.IDs()
 		}
 		if len(handles) == 0 {
 			return fmt.Errorf("%w: session has no handles to publish", errBadRequest)
 		}
 		roots := make([]bfbdd.SnapshotRoot, len(handles))
 		for i, h := range handles {
-			b, err := sess.bdd(h)
+			b, err := sess.tab.Get(h)
 			if err != nil {
 				return err
 			}
@@ -354,7 +349,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	// Audit record: the artifact has its own durable file, so the journal
 	// entry only documents provenance in the session's history — a failure
 	// must not unpublish what the artifact registry already committed.
-	_ = sess.journal(wal.PublishRec{Name: id, Handles: req.Handles})
+	_ = sess.journal(context.Background(), wal.PublishRec{Name: id, Handles: req.Handles})
 	s.metrics.funcBytesPublished.Add(uint64(a.bytes))
 	writeJSON(w, http.StatusCreated, a.info())
 }

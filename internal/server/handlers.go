@@ -10,7 +10,6 @@ import (
 	"hash/fnv"
 	"log"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -21,6 +20,7 @@ import (
 	"bfbdd/internal/replication"
 	"bfbdd/internal/trace"
 	"bfbdd/internal/wal"
+	"bfbdd/internal/walreplay"
 )
 
 // writeJSON writes v as the JSON response body.
@@ -42,7 +42,7 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // errStatus maps service errors to HTTP statuses.
 func errStatus(err error) int {
 	switch {
-	case errors.Is(err, errBadRequest), errors.Is(err, errNoHandle):
+	case errors.Is(err, errBadRequest), errors.Is(err, errNoHandle), errors.Is(err, walreplay.ErrInvalid):
 		return http.StatusBadRequest
 	case errors.Is(err, errNoSession), errors.Is(err, errNoFunc):
 		return http.StatusNotFound
@@ -218,25 +218,6 @@ func run(r *http.Request, sess *session, fn func(ctx context.Context) error) err
 	return err
 }
 
-// journalApplies journals a group of binary applies as one commit group:
-// a bare apply record for a single operation, one batch record otherwise.
-func journalApplies(sess *session, recs []wal.ApplyRec) error {
-	return journalAppliesT(sess, nil, 0, recs)
-}
-
-// journalAppliesT is journalApplies under an explicit trace (the
-// coalescer threads the batch owner's trace; nil when untraced).
-func journalAppliesT(sess *session, t *trace.Trace, parent trace.SpanID, recs []wal.ApplyRec) error {
-	switch len(recs) {
-	case 0:
-		return nil
-	case 1:
-		return sess.journalT(t, parent, recs[0])
-	default:
-		return sess.journalT(t, parent, wal.BatchRec{Ops: recs})
-	}
-}
-
 // poolBytes sums the engine memory footprint of every live session from
 // the lock-free stats snapshots (a scrape-safe approximation: snapshots
 // refresh after each executor task). With memory tiering on, the engine
@@ -375,7 +356,7 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	// client was told is gone. Best-effort by design: a broken log must not
 	// make a session undeletable.
 	if sess, err := s.reg.get(id); err == nil {
-		_ = sess.journal(wal.CloseRec{})
+		_ = sess.journal(context.Background(), wal.CloseRec{})
 	}
 	if err := s.reg.closeSession(id); err != nil {
 		fail(w, err)
@@ -389,8 +370,16 @@ type handleResp struct {
 	Nodes  int    `json:"nodes"`
 }
 
-func (s *Server) handleVar(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
+// serveWrite is the one shape of a mutating route: admit the request
+// (shedding it under memory pressure when the route allocates), resolve
+// the session, decode the body into req (nil: no body), turn it into a
+// record with build — which checks the outside input — and run the
+// record through session.mutate on the executor. reply shapes the answer
+// from the acknowledged handles and results; it runs on the executor.
+func (s *Server) serveWrite(w http.ResponseWriter, r *http.Request, allocates bool, req any,
+	build func(sess *session) (wal.Record, error),
+	reply func(sess *session, handles []uint64, res []*bfbdd.BDD) any) {
+	if s.refuseWrites(w) || (allocates && s.shed(w, r)) {
 		return
 	}
 	sess, err := s.sessionOf(r)
@@ -398,32 +387,24 @@ func (s *Server) handleVar(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	var req struct {
-		Index   int  `json:"index"`
-		Negated bool `json:"negated,omitempty"`
+	if req != nil {
+		if err := decode(w, r, req); err != nil {
+			fail(w, err)
+			return
+		}
 	}
-	if err := decode(w, r, &req); err != nil {
+	rec, err := build(sess)
+	if err != nil {
 		fail(w, err)
 		return
 	}
-	if req.Index < 0 || req.Index >= sess.vars {
-		fail(w, fmt.Errorf("%w: variable %d out of range [0,%d)", errBadRequest, req.Index, sess.vars))
-		return
-	}
-	var resp handleResp
+	var resp any
 	err = run(r, sess, func(ctx context.Context) error {
-		var b *bfbdd.BDD
-		if req.Negated {
-			b = sess.mgr.NVar(req.Index)
-		} else {
-			b = sess.mgr.Var(req.Index)
-		}
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.VarRec{Index: req.Index, Negated: req.Negated, Handle: h}); err != nil {
-			sess.unput(h, b)
+		handles, res, err := sess.mutate(ctx, rec)
+		if err != nil {
 			return err
 		}
-		resp = handleResp{Handle: h, Nodes: b.Size()}
+		resp = reply(sess, handles, res)
 		return nil
 	})
 	if err != nil {
@@ -433,43 +414,31 @@ func (s *Server) handleVar(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// oneResult answers a write that produces one BDD.
+func oneResult(_ *session, handles []uint64, res []*bfbdd.BDD) any {
+	return handleResp{Handle: handles[0], Nodes: res[0].Size()}
+}
+
+func (s *Server) handleVar(w http.ResponseWriter, r *http.Request) {
+	var req struct {
+		Index   int  `json:"index"`
+		Negated bool `json:"negated,omitempty"`
+	}
+	s.serveWrite(w, r, true, &req, func(sess *session) (wal.Record, error) {
+		if req.Index < 0 || req.Index >= sess.vars {
+			return nil, fmt.Errorf("%w: variable %d out of range [0,%d)", errBadRequest, req.Index, sess.vars)
+		}
+		return wal.VarRec{Index: req.Index, Negated: req.Negated}, nil
+	}, oneResult)
+}
+
 func (s *Server) handleConst(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		Value bool `json:"value"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		var b *bfbdd.BDD
-		if req.Value {
-			b = sess.mgr.One()
-		} else {
-			b = sess.mgr.Zero()
-		}
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.ConstRec{Value: req.Value, Handle: h}); err != nil {
-			sess.unput(h, b)
-			return err
-		}
-		resp = handleResp{Handle: h}
-		return nil
-	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.serveWrite(w, r, true, &req, func(*session) (wal.Record, error) {
+		return wal.ConstRec{Value: req.Value}, nil
+	}, oneResult)
 }
 
 // handleApply is the coalesced binary-apply endpoint: concurrent applies
@@ -532,21 +501,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("%w: empty batch", errBadRequest))
 		return
 	}
-	kinds := make([]bfbdd.BatchOpKind, len(req.Ops))
+	ops := make([]wal.ApplyRec, len(req.Ops))
 	for i, op := range req.Ops {
-		if kinds[i], err = parseOp(op.Op); err != nil {
+		kind, err := parseOp(op.Op)
+		if err != nil {
 			fail(w, err)
 			return
 		}
+		ops[i] = wal.ApplyRec{Op: uint8(kind), F: op.F, G: op.G}
 	}
-	var resp struct {
-		Handles []uint64 `json:"handles"`
-		Nodes   []int    `json:"nodes"`
-	}
-	// completed reports, for a batch that aborted partway (budget
-	// exhaustion, injected fault), which operations finished first: their
-	// results are registered as real handles so the client keeps the work
-	// already paid for.
+	// completed lists the operations that finished: all of them, or, for a
+	// batch that aborted partway (budget exhaustion, injected fault), the
+	// ones that finished first — journaled and bound as real handles, so
+	// the client keeps the work already paid for.
 	type completedOp struct {
 		Index  int    `json:"index"`
 		Handle uint64 `json:"handle"`
@@ -554,67 +521,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var completed []completedOp
 	err = run(r, sess, func(ctx context.Context) error {
-		btr, bparent := trace.FromContext(ctx)
-		ops := make([]bfbdd.BatchOp, len(req.Ops))
-		for i, op := range req.Ops {
-			f, err := sess.bdd(op.F)
-			if err != nil {
-				return err
+		handles, res, err := sess.mutate(ctx, walreplay.Applies(ops))
+		for i, h := range handles {
+			if h != 0 {
+				completed = append(completed, completedOp{Index: i, Handle: h, Nodes: res[i].Size()})
 			}
-			g, err := sess.bdd(op.G)
-			if err != nil {
-				return err
-			}
-			ops[i] = bfbdd.BatchOp{Kind: kinds[i], F: f, G: g}
 		}
-		var before bfbdd.Stats
-		if sess.slowThreshold > 0 {
-			before = sess.mgr.Stats()
-		}
-		t0 := time.Now()
-		results, err := sess.mgr.ApplyBatchCtx(ctx, ops)
-		sess.noteSlowBuild("batch", time.Since(t0), before)
-		if err != nil {
-			// The operations that did finish are acknowledged as real
-			// handles, so they must be journaled like any success — as one
-			// commit group. If the journal refuses, nothing was acknowledged:
-			// roll the puts back (newest first, so handle numbering rewinds)
-			// and surface the journal error alone.
-			var recs []wal.ApplyRec
-			var kept []*bfbdd.BDD
-			for i, b := range results {
-				if b == nil {
-					continue
-				}
-				h := sess.put(b)
-				completed = append(completed, completedOp{Index: i, Handle: h, Nodes: b.Size()})
-				recs = append(recs, wal.ApplyRec{Op: uint8(kinds[i]), F: req.Ops[i].F, G: req.Ops[i].G, Handle: h})
-				kept = append(kept, b)
-			}
-			if jerr := journalAppliesT(sess, btr, bparent, recs); jerr != nil {
-				for i := len(kept) - 1; i >= 0; i-- {
-					sess.unput(recs[i].Handle, kept[i])
-				}
-				completed = nil
-				return jerr
-			}
-			return err
-		}
-		resp.Handles = make([]uint64, len(results))
-		resp.Nodes = make([]int, len(results))
-		recs := make([]wal.ApplyRec, len(results))
-		for i, b := range results {
-			resp.Handles[i] = sess.put(b)
-			resp.Nodes[i] = b.Size()
-			recs[i] = wal.ApplyRec{Op: uint8(kinds[i]), F: req.Ops[i].F, G: req.Ops[i].G, Handle: resp.Handles[i]}
-		}
-		if jerr := journalAppliesT(sess, btr, bparent, recs); jerr != nil {
-			for i := len(results) - 1; i >= 0; i-- {
-				sess.unput(resp.Handles[i], results[i])
-			}
-			return jerr
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		if len(completed) > 0 {
@@ -632,277 +545,85 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
+	var resp struct {
+		Handles []uint64 `json:"handles"`
+		Nodes   []int    `json:"nodes"`
+	}
+	for _, c := range completed {
+		resp.Handles = append(resp.Handles, c.Handle)
+		resp.Nodes = append(resp.Nodes, c.Nodes)
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleITE(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		F uint64 `json:"f"`
 		G uint64 `json:"g"`
 		H uint64 `json:"h"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		f, err := sess.bdd(req.F)
-		if err != nil {
-			return err
-		}
-		g, err := sess.bdd(req.G)
-		if err != nil {
-			return err
-		}
-		h, err := sess.bdd(req.H)
-		if err != nil {
-			return err
-		}
-		b := f.ITE(g, h)
-		hn := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.ITERec{F: req.F, G: req.G, H: req.H, Handle: hn}); err != nil {
-			sess.unput(hn, b)
-			return err
-		}
-		resp = handleResp{Handle: hn, Nodes: b.Size()}
-		return nil
-	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.serveWrite(w, r, true, &req, func(*session) (wal.Record, error) {
+		return wal.ITERec{F: req.F, G: req.G, H: req.H}, nil
+	}, oneResult)
 }
 
 func (s *Server) handleNot(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		F uint64 `json:"f"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		f, err := sess.bdd(req.F)
-		if err != nil {
-			return err
-		}
-		b := f.Not()
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.NotRec{F: req.F, Handle: h}); err != nil {
-			sess.unput(h, b)
-			return err
-		}
-		resp = handleResp{Handle: h, Nodes: b.Size()}
-		return nil
-	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.serveWrite(w, r, true, &req, func(*session) (wal.Record, error) {
+		return wal.NotRec{F: req.F}, nil
+	}, oneResult)
 }
 
 func (s *Server) handleQuantify(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		Kind string `json:"kind"` // exists | forall
 		F    uint64 `json:"f"`
 		Vars []int  `json:"vars"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	if req.Kind != "exists" && req.Kind != "forall" {
-		fail(w, fmt.Errorf("%w: unknown quantifier %q", errBadRequest, req.Kind))
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		f, err := sess.bdd(req.F)
-		if err != nil {
-			return err
+	s.serveWrite(w, r, true, &req, func(*session) (wal.Record, error) {
+		if req.Kind != "exists" && req.Kind != "forall" {
+			return nil, fmt.Errorf("%w: unknown quantifier %q", errBadRequest, req.Kind)
 		}
-		var b *bfbdd.BDD
-		if req.Kind == "exists" {
-			b = f.Exists(req.Vars...)
-		} else {
-			b = f.Forall(req.Vars...)
-		}
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.QuantifyRec{Forall: req.Kind == "forall", F: req.F, Vars: req.Vars, Handle: h}); err != nil {
-			sess.unput(h, b)
-			return err
-		}
-		resp = handleResp{Handle: h, Nodes: b.Size()}
-		return nil
-	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+		return wal.QuantifyRec{Forall: req.Kind == "forall", F: req.F, Vars: req.Vars}, nil
+	}, oneResult)
 }
 
 func (s *Server) handleRestrict(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		F     uint64 `json:"f"`
 		Var   int    `json:"var"`
 		Value bool   `json:"value"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		f, err := sess.bdd(req.F)
-		if err != nil {
-			return err
-		}
-		b := f.Restrict(req.Var, req.Value)
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.RestrictRec{F: req.F, Var: req.Var, Value: req.Value, Handle: h}); err != nil {
-			sess.unput(h, b)
-			return err
-		}
-		resp = handleResp{Handle: h, Nodes: b.Size()}
-		return nil
-	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.serveWrite(w, r, true, &req, func(*session) (wal.Record, error) {
+		return wal.RestrictRec{F: req.F, Var: req.Var, Value: req.Value}, nil
+	}, oneResult)
 }
 
 func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		F   uint64 `json:"f"`
 		Var int    `json:"var"`
 		G   uint64 `json:"g"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		f, err := sess.bdd(req.F)
-		if err != nil {
-			return err
-		}
-		g, err := sess.bdd(req.G)
-		if err != nil {
-			return err
-		}
-		b := f.Compose(req.Var, g)
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.ComposeRec{F: req.F, G: req.G, Var: req.Var, Handle: h}); err != nil {
-			sess.unput(h, b)
-			return err
-		}
-		resp = handleResp{Handle: h, Nodes: b.Size()}
-		return nil
-	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.serveWrite(w, r, true, &req, func(*session) (wal.Record, error) {
+		return wal.ComposeRec{F: req.F, G: req.G, Var: req.Var}, nil
+	}, oneResult)
 }
 
+// handleFree releases handles all-or-nothing: the record is validated in
+// full before it is journaled, so it describes only frees that then
+// actually happen.
 func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		Handles []uint64 `json:"handles"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var freed int
-	err = run(r, sess, func(ctx context.Context) error {
-		// Validate the whole list before journaling anything: the free is
-		// acknowledged all-or-nothing, and its record must describe only
-		// frees that then actually happen (replay treats a missing handle
-		// as divergence). Duplicates in one request hit the seen-check the
-		// same way a double free across requests hits the handle table.
-		seen := make(map[uint64]struct{}, len(req.Handles))
-		for _, h := range req.Handles {
-			if _, err := sess.bdd(h); err != nil {
-				return err
-			}
-			if _, dup := seen[h]; dup {
-				return fmt.Errorf("%w: handle %d freed twice", errNoHandle, h)
-			}
-			seen[h] = struct{}{}
-		}
-		if err := sess.journalCtx(ctx, wal.FreeRec{Handles: req.Handles}); err != nil {
-			return err
-		}
-		for _, h := range req.Handles {
-			if err := sess.free(h); err != nil {
-				return err
-			}
-			freed++
-		}
-		return nil
+	s.serveWrite(w, r, false, &req, func(*session) (wal.Record, error) {
+		return wal.FreeRec{Handles: req.Handles}, nil
+	}, func(*session, []uint64, []*bfbdd.BDD) any {
+		return map[string]int{"freed": len(req.Handles)}
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"freed": freed})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -923,7 +644,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp any
 	err = run(r, sess, func(context.Context) error {
-		f, err := sess.bdd(req.F)
+		f, err := sess.tab.Get(req.F)
 		if err != nil {
 			return err
 		}
@@ -952,7 +673,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			resp = map[string][]int{"vars": vars}
 		case "equal":
-			g, err := sess.bdd(req.G)
+			g, err := sess.tab.Get(req.G)
 			if err != nil {
 				return err
 			}
@@ -984,33 +705,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleGC collects explicitly. The record is journaled before the
+// collection runs: a compaction rewrites node indices, so replay must run
+// it at the same point in the operation stream to keep downstream
+// structure identical.
 func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	var nodes uint64
-	err = run(r, sess, func(ctx context.Context) error {
-		// Journal before collecting: a GC compaction rewrites node indices,
-		// so replay must run it at the same point in the operation stream to
-		// keep downstream structure identical. GC itself cannot fail, so
-		// journal-first never records a GC that didn't happen.
-		if err := sess.journalCtx(ctx, wal.GCRec{}); err != nil {
-			return err
-		}
-		sess.mgr.GC()
-		nodes = sess.mgr.NumNodes()
-		return nil
+	s.serveWrite(w, r, false, nil, func(*session) (wal.Record, error) {
+		return wal.GCRec{}, nil
+	}, func(sess *session, _ []uint64, _ []*bfbdd.BDD) any {
+		return map[string]uint64{"live_nodes": sess.mgr.NumNodes()}
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"live_nodes": nodes})
 }
 
 // statsJSON is the wire shape of a session stats snapshot.
@@ -1084,7 +788,7 @@ func (s *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	err = run(r, sess, func(context.Context) error {
-		b, err := sess.bdd(h)
+		b, err := sess.tab.Get(h)
 		if err != nil {
 			return err
 		}
@@ -1119,7 +823,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		// for. Skipped on a follower: a locally minted sequence would
 		// collide with the primary's replicated stream.
 		if !s.isFollower() {
-			_ = sess.journal(wal.SnapshotRec{})
+			_ = sess.journal(context.Background(), wal.SnapshotRec{})
 		}
 		return nil
 	})
@@ -1180,7 +884,7 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	handles := make([]uint64, 0, len(sess.handles))
+	var handles []uint64
 	// The session was just committed and has served nothing yet, but reads
 	// still go through the executor: another client that guessed the id
 	// could already be mutating the handle table. If the executor refuses
@@ -1188,10 +892,7 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 	// be reported accurately, so fail the request; the session itself may
 	// still exist and is discoverable via GET /v1/sessions.
 	if err := run(r, sess, func(context.Context) error {
-		for h := range sess.handles {
-			handles = append(handles, h)
-		}
-		slices.Sort(handles)
+		handles = sess.tab.IDs()
 		return nil
 	}); err != nil {
 		fail(w, fmt.Errorf("session %s restored, but listing its handles failed: %w", sess.id, err))

@@ -237,9 +237,17 @@ func TestSessionBudgetOverHTTP(t *testing.T) {
 // answers 413 with a "completed" list whose handles are real, registered
 // BDDs — the client keeps the work already paid for.
 func TestBatchBudgetPartialOverHTTP(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	base := ts.URL
-	sid := createSession(t, base, SessionOptions{
+	batchBudgetPartial(t, Config{})
+}
+
+// batchBudgetPartial runs the partial-batch scenario on a server under
+// cfg and returns the server's URL, the session, and every handle left
+// live in it.
+func batchBudgetPartial(t *testing.T, cfg Config) (base, sid string, live []uint64) {
+	t.Helper()
+	_, ts := testServer(t, cfg)
+	base = ts.URL
+	sid = createSession(t, base, SessionOptions{
 		Vars: 24, Engine: "pbf", EvalThreshold: 16, MaxNodes: 4000,
 	})
 
@@ -275,6 +283,7 @@ func TestBatchBudgetPartialOverHTTP(t *testing.T) {
 	even, odd := dnf(), dnf()
 	v0, v1 := mkVar(t, base, sid, 0, false), mkVar(t, base, sid, 1, false)
 	v2, v3 := mkVar(t, base, sid, 2, false), mkVar(t, base, sid, 3, false)
+	live = []uint64{even, odd, v0, v1, v2, v3}
 
 	code, out := call(t, "POST", base+"/v1/sessions/"+sid+"/batch", map[string]any{
 		"ops": []map[string]any{
@@ -308,7 +317,9 @@ func TestBatchBudgetPartialOverHTTP(t *testing.T) {
 		if e, _ := eq["equal"].(bool); !e {
 			t.Fatalf("completed[%d] handle is not the expected result", i)
 		}
+		live = append(live, uint64(h), ref)
 	}
+	return base, sid, live
 }
 
 // TestBudgetRaceTwoSessions is the isolation acceptance test: one session

@@ -10,7 +10,6 @@ import (
 	"io"
 	"log"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +20,7 @@ import (
 	"bfbdd/internal/snapshot"
 	"bfbdd/internal/trace"
 	"bfbdd/internal/wal"
+	"bfbdd/internal/walreplay"
 )
 
 var (
@@ -30,7 +30,7 @@ var (
 	errSessionExists   = errors.New("session already exists")
 	errTooManySessions = errors.New("session limit reached")
 	errServerClosed    = errors.New("server is shutting down")
-	errNoHandle        = errors.New("no such handle")
+	errNoHandle        = walreplay.ErrNoHandle
 	// errSessionPoisoned marks a session whose engine hit an internal
 	// fault: its in-memory state can no longer be trusted, so every
 	// subsequent operation is refused until the client deletes it (or
@@ -231,9 +231,9 @@ type session struct {
 	// lastUsed is the unix-nano time of the last request (idle expiry).
 	lastUsed atomic.Int64
 
-	// handles maps wire handle IDs to live BDDs; executor goroutine only.
-	handles    map[uint64]*bfbdd.BDD
-	nextHandle uint64
+	// tab is the wire-handle table over mgr, the same state recovery and
+	// follower apply run records against; executor goroutine only.
+	tab *walreplay.State
 
 	snap atomic.Pointer[sessionStats]
 
@@ -322,7 +322,7 @@ func (s *session) refreshStats() {
 	snap := &sessionStats{
 		Stats:   s.mgr.Stats(),
 		Pins:    s.mgr.Kernel().NumPins(),
-		Handles: len(s.handles),
+		Handles: len(s.tab.Handles),
 	}
 	s.snap.Store(snap)
 }
@@ -330,60 +330,44 @@ func (s *session) refreshStats() {
 // stats returns the latest lock-free snapshot.
 func (s *session) stats() *sessionStats { return s.snap.Load() }
 
-// bdd resolves a wire handle; executor goroutine only.
-func (s *session) bdd(h uint64) (*bfbdd.BDD, error) {
-	b, ok := s.handles[h]
-	if !ok {
-		return nil, fmt.Errorf("%w: handle %d", errNoHandle, h)
+// mutate runs one write through the path recovery and follower apply
+// share (walreplay.State.Exec): build against the handle table, stamp
+// fresh handles into rec, journal it as one commit group, and bind only
+// once the journal accepts it. handles[i] is result slot i's
+// acknowledged handle (0 for an op a partly finished batch did not
+// complete) and res[i] its BDD. Executor goroutine only.
+func (s *session) mutate(ctx context.Context, rec wal.Record) (handles []uint64, res []*bfbdd.BDD, err error) {
+	var before bfbdd.Stats
+	if s.slowThreshold > 0 {
+		before = s.mgr.Stats()
 	}
-	return b, nil
+	t0 := time.Now()
+	// The build ends where the journal commit begins, or, for a build
+	// that fails before reaching it, when Exec returns.
+	built := sync.OnceFunc(func() { s.noteSlowBuild(rec.Kind().String(), time.Since(t0), before) })
+	handles, res, err = s.tab.Exec(ctx, rec, func(r wal.Record) error {
+		built()
+		return s.journal(ctx, r)
+	})
+	built()
+	return handles, res, err
 }
 
-// put registers a BDD and returns its wire handle; executor goroutine only.
-func (s *session) put(b *bfbdd.BDD) uint64 {
-	s.nextHandle++
-	s.handles[s.nextHandle] = b
-	return s.nextHandle
-}
-
-// unput rolls back a put whose journal append failed: the handle was
-// never acknowledged, so memory must not get ahead of the log. Executor
-// goroutine only; roll back the most recent put first so handle
-// numbering rewinds exactly.
-func (s *session) unput(h uint64, b *bfbdd.BDD) {
-	delete(s.handles, h)
-	b.Free()
-	if h == s.nextHandle {
-		s.nextHandle--
-	}
-}
-
-// journal appends recs to the session's WAL as one commit group and
-// makes them durable per the configured sync policy before returning.
-// With no WAL (persistence disabled) it is a no-op.
-func (s *session) journal(recs ...wal.Record) error {
-	return s.journalT(nil, 0, recs...)
-}
-
-// journalCtx is journal with the request trace (if any) extracted from
-// ctx, so a traced mutation records its durability cost.
-func (s *session) journalCtx(ctx context.Context, recs ...wal.Record) error {
-	t, parent := trace.FromContext(ctx)
-	return s.journalT(t, parent, recs...)
-}
-
-// journalT is journal under an explicit trace: the group-commit append
-// (including the policy's fsync) is recorded as a "wal-commit" span and
-// the replication gate — commit notification, plus the wait for
-// follower delivery under -wal-sync=always — as a "repl-await" span.
-// Both spans are children of parent; t may be nil (untraced).
-func (s *session) journalT(t *trace.Trace, parent trace.SpanID, recs ...wal.Record) error {
-	if s.wal == nil || len(recs) == 0 {
+// journal appends rec to the session's WAL as one commit group and makes
+// it durable per the configured sync policy before returning. With no
+// WAL (persistence disabled) it is a no-op. Under a traced ctx the
+// group-commit append (including the policy's fsync) is recorded as a
+// "wal-commit" span and the replication gate — commit notification,
+// plus the wait for follower delivery under -wal-sync=always — as a
+// "repl-await" span, both children of ctx's current span.
+func (s *session) journal(ctx context.Context, rec wal.Record) error {
+	if s.wal == nil {
 		return nil
 	}
+	t, parent := trace.FromContext(ctx)
 	ws := t.Start(parent, "wal-commit")
-	err := s.wal.Append(recs...)
-	t.End(ws, trace.I("records", int64(len(recs))))
+	err := s.wal.Append(rec)
+	t.End(ws, trace.I("records", 1))
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -420,30 +404,15 @@ func (s *session) noteSlowBuild(op string, elapsed time.Duration, before bfbdd.S
 		int64(after.NumNodes)-int64(before.NumNodes))
 }
 
-// free releases a wire handle; executor goroutine only.
-func (s *session) free(h uint64) error {
-	b, ok := s.handles[h]
-	if !ok {
-		return fmt.Errorf("%w: handle %d", errNoHandle, h)
-	}
-	delete(s.handles, h)
-	b.Free()
-	return nil
-}
-
 // snapshotTo streams the whole session — every wire handle and the
 // manager's variable order — in the bfbdd snapshot format. Executor
 // goroutine only. Handles are written in ascending order so identical
 // session states serialize byte-identically.
 func (s *session) snapshotTo(w io.Writer) error {
-	ids := make([]uint64, 0, len(s.handles))
-	for h := range s.handles {
-		ids = append(ids, h)
-	}
-	slices.Sort(ids)
+	ids := s.tab.IDs()
 	roots := make([]bfbdd.SnapshotRoot, len(ids))
 	for i, h := range ids {
-		roots[i] = bfbdd.SnapshotRoot{ID: h, B: s.handles[h]}
+		roots[i] = bfbdd.SnapshotRoot{ID: h, B: s.tab.Handles[h]}
 	}
 	return s.mgr.SnapshotRoots(w, roots)
 }
@@ -457,7 +426,7 @@ func (s *session) close() {
 		s.exec.close()
 		// The executor goroutine has exited; the handle table and manager
 		// are now exclusively ours.
-		s.handles = nil
+		s.tab = nil
 		s.mgr.Close()
 		if s.wal != nil {
 			if err := s.wal.Close(); err != nil {
@@ -544,9 +513,9 @@ func (r *registry) createAt(id string, o SessionOptions, openWAL bool) (*session
 		created:       time.Now(),
 		mgr:           bfbdd.New(o.Vars, opts...),
 		m:             r.m,
-		handles:       make(map[uint64]*bfbdd.BDD),
 		slowThreshold: r.cfg.SlowBuildThreshold,
 	}
+	s.tab = walreplay.NewState(s.mgr)
 	s.exec = newExecutor(r.cfg.MaxQueuedPerSession, s.refreshStats)
 	s.coal = newCoalescer(s, r.cfg, r.m)
 	s.touch()
@@ -677,26 +646,25 @@ func (r *registry) restore(id string, o SessionOptions, src io.Reader, attach fu
 		created:       time.Now(),
 		mgr:           mgr,
 		m:             r.m,
-		handles:       make(map[uint64]*bfbdd.BDD, len(roots)),
+		tab:           walreplay.NewState(mgr),
 		slowThreshold: r.cfg.SlowBuildThreshold,
 	}
 	for _, rt := range roots {
-		if _, dup := s.handles[rt.ID]; dup {
+		if _, dup := s.tab.Handles[rt.ID]; dup {
 			mgr.Close()
 			r.release(id)
 			return nil, fmt.Errorf("%w: duplicate handle %d in snapshot", errBadRequest, rt.ID)
 		}
-		// nextHandle starts at the largest restored id; an id near the
-		// uint64 ceiling would make the next put() wrap to a restored
-		// handle and silently replace it. No legitimate snapshot gets
+		// NextHandle starts at the largest restored id; an id near the
+		// uint64 ceiling would make the next stamped handle wrap to a
+		// restored one and silently replace it. No legitimate snapshot gets
 		// anywhere close — handles are allocated sequentially from 1.
 		if rt.ID >= 1<<62 {
 			mgr.Close()
 			r.release(id)
 			return nil, fmt.Errorf("%w: handle %d out of range in snapshot", errBadRequest, rt.ID)
 		}
-		s.handles[rt.ID] = rt.B
-		s.nextHandle = max(s.nextHandle, rt.ID)
+		s.tab.Set(rt.ID, rt.B)
 	}
 	s.exec = newExecutor(r.cfg.MaxQueuedPerSession, s.refreshStats)
 	s.coal = newCoalescer(s, r.cfg, r.m)

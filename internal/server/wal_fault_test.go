@@ -4,6 +4,7 @@ package server
 
 import (
 	"net/http"
+	"slices"
 	"testing"
 
 	"bfbdd/internal/faultinject"
@@ -11,10 +12,12 @@ import (
 )
 
 // TestWALAppendFailureRefusesOperation is the write-ahead contract under
-// a failing disk: an operation whose journal append fails must be
-// refused (500) with its handle rolled back — never acknowledged-but-
-// unjournaled — and the session must keep serving once the disk heals.
-// Recovery then reproduces exactly the acknowledged operations.
+// a failing disk, for every mutating route: an operation whose journal
+// append fails must be refused (500) and leave the session as if it never
+// ran — no handle bound, nothing freed, nothing collected, session not
+// poisoned — and the session must keep serving once the disk heals.
+// Retrying the refused request gets exactly the handles the refused one
+// would have had. Recovery then reproduces the acknowledged operations.
 func TestWALAppendFailureRefusesOperation(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
@@ -23,34 +26,81 @@ func TestWALAppendFailureRefusesOperation(t *testing.T) {
 	cfg := walConfig(dir)
 	srv, ts := testServer(t, cfg)
 	sid := createSession(t, ts.URL, SessionOptions{Vars: 8})
+	base := ts.URL + "/v1/sessions/" + sid
 	v0 := mkVar(t, ts.URL, sid, 0, false)
-
-	// Reset zeroes the per-point call counters (session creation and the
-	// first var already visited WALAppend), so FailFirst(1) hits exactly
-	// the next append.
-	faultinject.Reset()
-	faultinject.Arm(faultinject.WALAppend, faultinject.FailFirst(1))
-	code, out := call(t, "POST", ts.URL+"/v1/sessions/"+sid+"/vars", map[string]any{"index": 1})
-	faultinject.Reset()
-	if code != http.StatusInternalServerError {
-		t.Fatalf("journal-failed op answered %d (%v), want 500", code, out)
-	}
-	if got := srv.metrics.wal.AppendErrors.Load(); got != 1 {
-		t.Fatalf("AppendErrors = %d, want 1", got)
-	}
-
-	// The refused operation's handle was rolled back: the next op gets
-	// the number the failed one would have had, and the session is not
-	// poisoned.
 	v1 := mkVar(t, ts.URL, sid, 1, false)
-	if v1 != v0+1 {
-		t.Fatalf("handle after rollback = %d, want %d", v1, v0+1)
+	v2 := mkVar(t, ts.URL, sid, 2, false)
+	sess, err := srv.reg.get(sid)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := apply(t, ts.URL, sid, "and", v0, v1)
-	ledger := map[uint64]string{
-		v0: sigOf(t, ts.URL, sid, v0),
-		v1: sigOf(t, ts.URL, sid, v1),
-		a:  sigOf(t, ts.URL, sid, a),
+
+	routes := []struct {
+		name, path string
+		body       any
+		freed      []uint64 // handles the route releases once acknowledged
+	}{
+		{name: "vars", path: "/vars", body: map[string]any{"index": 3}},
+		{name: "const", path: "/const", body: map[string]any{"value": true}},
+		{name: "apply", path: "/apply", body: map[string]any{"op": "and", "f": v0, "g": v1}},
+		{name: "batch", path: "/batch", body: map[string]any{"ops": []map[string]any{
+			{"op": "or", "f": v0, "g": v1}, {"op": "xor", "f": v1, "g": v2}}}},
+		{name: "ite", path: "/ite", body: map[string]any{"f": v0, "g": v1, "h": v2}},
+		{name: "not", path: "/not", body: map[string]any{"f": v0}},
+		{name: "quantify", path: "/quantify", body: map[string]any{"kind": "forall", "f": v0, "vars": []int{0}}},
+		{name: "restrict", path: "/restrict", body: map[string]any{"f": v1, "var": 1, "value": false}},
+		{name: "compose", path: "/compose", body: map[string]any{"f": v0, "var": 0, "g": v2}},
+		{name: "free", path: "/free", body: map[string]any{"handles": []uint64{v2}}, freed: []uint64{v2}},
+		{name: "gc", path: "/gc"},
+	}
+	live := []uint64{v0, v1, v2}
+	next := v2 + 1
+	for i, rt := range routes {
+		// Reset zeroes the per-point call counters (earlier appends
+		// already visited WALAppend), so FailFirst(1) hits exactly the
+		// route's own append.
+		faultinject.Reset()
+		faultinject.Arm(faultinject.WALAppend, faultinject.FailFirst(1))
+		code, out := call(t, "POST", base+rt.path, rt.body)
+		faultinject.Reset()
+		if code != http.StatusInternalServerError {
+			t.Fatalf("%s: journal-failed op answered %d (%v), want 500", rt.name, code, out)
+		}
+		if got := srv.metrics.wal.AppendErrors.Load(); got != uint64(i+1) {
+			t.Fatalf("%s: AppendErrors = %d, want %d", rt.name, got, i+1)
+		}
+		if sess.isPoisoned() {
+			t.Fatalf("%s: refused journal append poisoned the session", rt.name)
+		}
+		// A refused free released nothing: its handles still answer.
+		for _, h := range rt.freed {
+			sigOf(t, ts.URL, sid, h)
+		}
+
+		// The healed retry is acknowledged under the handle numbers the
+		// refused attempt would have had.
+		out = mustCall(t, "POST", base+rt.path, rt.body, http.StatusOK)
+		var got []uint64
+		if h, ok := out["handle"].(float64); ok {
+			got = append(got, uint64(h))
+		}
+		hs, _ := out["handles"].([]any)
+		for _, h := range hs {
+			got = append(got, uint64(h.(float64)))
+		}
+		for _, h := range got {
+			if h != next {
+				t.Fatalf("%s: handle after rollback = %d, want %d (got %v)", rt.name, h, next, got)
+			}
+			next++
+		}
+		live = append(live, got...)
+		live = slices.DeleteFunc(live, func(h uint64) bool { return slices.Contains(rt.freed, h) })
+	}
+
+	ledger := make(map[uint64]string, len(live))
+	for _, h := range live {
+		ledger[h] = sigOf(t, ts.URL, sid, h)
 	}
 	assertRecovered(t, cfg, dir, sid, ledger)
 }

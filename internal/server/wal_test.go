@@ -358,3 +358,17 @@ func mustCallRaw(t *testing.T, url string, body []byte, wantCode int) map[string
 	}
 	return out
 }
+
+// TestBatchBudgetPartialRecovers: the operations a budget-aborted batch
+// completed are acknowledged, so they are journaled and survive a crash —
+// recovery rebuilds them under the handles the 413 reported.
+func TestBatchBudgetPartialRecovers(t *testing.T) {
+	dir := t.TempDir()
+	cfg := walConfig(dir)
+	base, sid, live := batchBudgetPartial(t, cfg)
+	ledger := make(map[uint64]string, len(live))
+	for _, h := range live {
+		ledger[h] = sigOf(t, base, sid, h)
+	}
+	assertRecovered(t, cfg, dir, sid, ledger)
+}

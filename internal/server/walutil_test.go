@@ -5,7 +5,18 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bfbdd"
 )
+
+// putHandle binds b under the next free wire handle of sess's table, the
+// handle a journaled mutation would have been stamped with. Executor
+// goroutine only.
+func putHandle(sess *session, b *bfbdd.BDD) uint64 {
+	h := sess.tab.NextHandle + 1
+	sess.tab.Set(h, b)
+	return h
+}
 
 // latestSnapshot returns the path of id's newest committed snapshot in
 // dir, or "" when none exists. Snapshots carry their WAL sequence in the

@@ -1,6 +1,8 @@
 package walreplay
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -183,6 +185,8 @@ func TestReplayRejectsInvalidHistories(t *testing.T) {
 			wal.FreeRec{Handles: []uint64{5}}}, "no handle"},
 		{"order wrong arity", []wal.Record{
 			wal.SetOrderRec{Levels: []int{0}}}, "levels"},
+		{"order not a permutation", []wal.Record{
+			wal.SetOrderRec{Levels: []int{0, 0}}}, "permutation"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,5 +202,69 @@ func TestReplayRejectsInvalidHistories(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestExecStampsCommitsThenBinds drives the live path: handles are
+// stamped after NextHandle, the commit sees the stamped record before
+// anything is bound, and a refused commit leaves the table untouched so
+// the next record gets the same handle.
+func TestExecStampsCommitsThenBinds(t *testing.T) {
+	st := NewState(bfbdd.New(3))
+	defer st.Mgr.Close()
+	var journal []wal.Record
+	commit := func(r wal.Record) error {
+		if len(st.Handles) != len(journal) {
+			t.Fatalf("table changed before commit: %d handles", len(st.Handles))
+		}
+		journal = append(journal, r)
+		return nil
+	}
+	for i := 0; i < 2; i++ {
+		hs, _, err := st.Exec(context.Background(), wal.VarRec{Index: i}, commit)
+		if err != nil || hs[0] != uint64(i+1) {
+			t.Fatalf("var %d: handles %v, err %v", i, hs, err)
+		}
+	}
+
+	refused := errors.New("disk full")
+	_, _, err := st.Exec(context.Background(), wal.NotRec{F: 1}, func(wal.Record) error { return refused })
+	if !errors.Is(err, refused) || len(st.Handles) != 2 || st.NextHandle != 2 {
+		t.Fatalf("refused commit: err %v, %d handles, next %d", err, len(st.Handles), st.NextHandle)
+	}
+	_, _, err = st.Exec(context.Background(), wal.FreeRec{Handles: []uint64{1}}, func(wal.Record) error { return refused })
+	if !errors.Is(err, refused) || st.Handles[1] == nil {
+		t.Fatalf("refused free: err %v, handle 1 bound = %v", err, st.Handles[1] != nil)
+	}
+
+	hs, res, err := st.Exec(context.Background(), wal.BatchRec{Ops: []wal.ApplyRec{
+		{Op: uint8(bfbdd.BatchAnd), F: 1, G: 2},
+		{Op: uint8(bfbdd.BatchXor), F: 1, G: 2},
+	}}, commit)
+	if err != nil || !reflect.DeepEqual(hs, []uint64{3, 4}) {
+		t.Fatalf("batch: handles %v, err %v", hs, err)
+	}
+	want := wal.BatchRec{Ops: []wal.ApplyRec{
+		{Op: uint8(bfbdd.BatchAnd), F: 1, G: 2, Handle: 3},
+		{Op: uint8(bfbdd.BatchXor), F: 1, G: 2, Handle: 4},
+	}}
+	if got := journal[len(journal)-1]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("journaled %#v, want %#v", got, want)
+	}
+	if st.Handles[3] != res[0] || !res[1].Equal(st.Mgr.Var(0).Xor(st.Mgr.Var(1))) {
+		t.Fatal("batch results not bound under their stamped handles")
+	}
+
+	// The journal replays to the same table.
+	rt := NewState(bfbdd.New(3))
+	defer rt.Mgr.Close()
+	for _, r := range journal {
+		if err := rt.Apply(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rt.Handles) != len(st.Handles) || rt.NextHandle != st.NextHandle {
+		t.Fatalf("replayed %d handles (next %d), live has %d (next %d)",
+			len(rt.Handles), rt.NextHandle, len(st.Handles), st.NextHandle)
 	}
 }

@@ -251,10 +251,12 @@ func (m *Manager) SetOrder(newLevel []int) {
 			len(newLevel), len(m.var2level)))
 	}
 	levelMap := make([]int, len(newLevel))
+	taken := make([]bool, len(newLevel))
 	for v, nl := range newLevel {
-		if nl < 0 || nl >= len(newLevel) {
+		if nl < 0 || nl >= len(newLevel) || taken[nl] {
 			panic("bfbdd: SetOrder is not a permutation")
 		}
+		taken[nl] = true
 		levelMap[m.var2level[v]] = nl
 	}
 	m.k.ReorderLevels(levelMap)

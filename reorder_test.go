@@ -171,3 +171,28 @@ func TestSetOrderPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestSetOrderRejectsDuplicateLevels: a repeated level is refused with the
+// engine's own misuse panic before the kernel is touched, so the manager
+// and its handles stay usable under the old order.
+func TestSetOrderRejectsDuplicateLevels(t *testing.T) {
+	m := bfbdd.New(3)
+	defer m.Close()
+	f := m.Var(0).And(m.Var(2))
+	for _, bad := range [][]int{{0, 0, 1}, {2, 1, 2}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != "bfbdd: SetOrder is not a permutation" {
+					t.Errorf("SetOrder(%v) panicked with %q", bad, msg)
+				}
+			}()
+			m.SetOrder(bad)
+		}()
+	}
+	if got := m.Order(); got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("order after refused SetOrder = %v, want identity", got)
+	}
+	if !f.Equal(m.Var(2).And(m.Var(0))) || f.Size() != 2 {
+		t.Fatal("handle changed by a refused SetOrder")
+	}
+}
