@@ -106,12 +106,75 @@ func (m *Manager) ApplyBatchCtx(ctx context.Context, ops []BatchOp) ([]*BDD, err
 // ApplyCtx computes f <kind> g with cooperative cancellation (see
 // ApplyBatchCtx).
 func (m *Manager) ApplyCtx(ctx context.Context, kind BatchOpKind, f, g *BDD) (*BDD, error) {
-	f.mustShareManager(g)
-	if f.m != m {
-		panic("bfbdd: ApplyCtx operand from another manager")
+	m.own("ApplyCtx", f, g)
+	op, fr, gr := kind.op(), f.ref(), g.ref()
+	return m.buildCtx(ctx, func() node.Ref { return m.k.Apply(op, fr, gr) })
+}
+
+// ITECtx computes f ? t : e with cooperative cancellation: a canceled
+// context or a passed deadline abandons the build at the next poll point
+// and returns ctx's error, and a budget trip returns its *BudgetError.
+// The manager remains fully usable either way. The same holds for the
+// other Ctx operations below.
+func (m *Manager) ITECtx(ctx context.Context, f, t, e *BDD) (*BDD, error) {
+	m.own("ITECtx", f, t, e)
+	fr, tr, er := f.ref(), t.ref(), e.ref()
+	return m.buildCtx(ctx, func() node.Ref { return m.k.ITE(fr, tr, er) })
+}
+
+// NotCtx computes ¬f with cooperative cancellation (see ITECtx).
+func (m *Manager) NotCtx(ctx context.Context, f *BDD) (*BDD, error) {
+	m.own("NotCtx", f)
+	fr := f.ref()
+	return m.buildCtx(ctx, func() node.Ref { return m.k.Not(fr) })
+}
+
+// ExistsCtx existentially quantifies vars out of f with cooperative
+// cancellation (see ITECtx).
+func (m *Manager) ExistsCtx(ctx context.Context, f *BDD, vars ...int) (*BDD, error) {
+	m.own("ExistsCtx", f)
+	fr, levels := f.ref(), m.cubeLevels(vars)
+	return m.buildCtx(ctx, func() node.Ref { return m.k.Exists(fr, m.k.CubeRef(levels)) })
+}
+
+// ForallCtx universally quantifies vars out of f with cooperative
+// cancellation (see ITECtx).
+func (m *Manager) ForallCtx(ctx context.Context, f *BDD, vars ...int) (*BDD, error) {
+	m.own("ForallCtx", f)
+	fr, levels := f.ref(), m.cubeLevels(vars)
+	return m.buildCtx(ctx, func() node.Ref { return m.k.Forall(fr, m.k.CubeRef(levels)) })
+}
+
+// RestrictCtx fixes variable v of f to value with cooperative
+// cancellation (see ITECtx).
+func (m *Manager) RestrictCtx(ctx context.Context, f *BDD, v int, value bool) (*BDD, error) {
+	m.own("RestrictCtx", f)
+	fr, lvl := f.ref(), m.level(v)
+	return m.buildCtx(ctx, func() node.Ref { return m.k.Restrict(fr, lvl, value) })
+}
+
+// ComposeCtx substitutes g for variable v in f with cooperative
+// cancellation (see ITECtx).
+func (m *Manager) ComposeCtx(ctx context.Context, f *BDD, v int, g *BDD) (*BDD, error) {
+	m.own("ComposeCtx", f, g)
+	fr, lvl, gr := f.ref(), m.level(v), g.ref()
+	return m.buildCtx(ctx, func() node.Ref { return m.k.Compose(fr, lvl, gr) })
+}
+
+// own panics unless every operand belongs to m.
+func (m *Manager) own(method string, bs ...*BDD) {
+	for _, b := range bs {
+		if b.m != m {
+			panic("bfbdd: " + method + " operand from another manager")
+		}
 	}
+}
+
+// buildCtx runs op under ctx's cancellation (core.Kernel.RunCtx), traced
+// as one kernel-build span, and wraps its result.
+func (m *Manager) buildCtx(ctx context.Context, op func() node.Ref) (*BDD, error) {
 	finish := m.traceBuild(ctx)
-	r, err := m.k.ApplyCtx(ctx, kind.op(), f.ref(), g.ref())
+	r, err := m.k.RunCtx(ctx, op)
 	finish()
 	if err != nil {
 		return nil, err

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"bfbdd/internal/node"
 )
 
 // mustPanic runs f and asserts it panics with a message containing want.
@@ -107,5 +109,35 @@ func TestApplyBatchCtxManagerLevel(t *testing.T) {
 	r, err := m.ApplyCtx(context.Background(), BatchOr, a, b)
 	if err != nil || !r.Equal(a.Or(b)) {
 		t.Fatalf("ApplyCtx: r=%v err=%v", r, err)
+	}
+}
+
+// TestKernelUseAfterClosePanics checks every kernel entry point of
+// internal/core/quant.go on a closed kernel: each must panic with the
+// closed-kernel message instead of dereferencing the released store.
+func TestKernelUseAfterClosePanics(t *testing.T) {
+	m := New(4)
+	k := m.Kernel()
+	x := m.Var(0).Ref()
+	y := m.Var(1).Ref()
+	m.Close()
+	cases := []struct {
+		name string
+		call func()
+	}{
+		{"Exists", func() { k.Exists(x, y) }},
+		{"Forall", func() { k.Forall(x, y) }},
+		{"Restrict", func() { k.Restrict(x, 1, true) }},
+		{"Compose", func() { k.Compose(x, 0, y) }},
+		{"ITE", func() { k.ITE(x, y, x) }},
+		{"SatCount", func() { k.SatCount(x) }},
+		{"AnySat", func() { k.AnySat(x) }},
+		{"Eval", func() { k.Eval(x, make([]bool, 4)) }},
+		{"Size", func() { k.Size(x) }},
+		{"SizeMulti", func() { k.SizeMulti([]node.Ref{x, y}) }},
+		{"Support", func() { k.Support(x) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { mustPanic(t, "core: use of closed kernel", c.call) })
 	}
 }

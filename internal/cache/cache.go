@@ -57,10 +57,28 @@ type segment struct {
 	pressure uint64
 }
 
+// entry3 is a ternary-operation entry (ITE, Compose). Ternary entries
+// live in segments of their own so the binary entry keeps its 32 bytes.
+type entry3 struct {
+	f, g, h node.Ref
+	val     Tagged
+	op      uint8
+	gen     uint32
+}
+
+type segment3 struct {
+	entries  []entry3
+	mask     uint64
+	pressure uint64
+}
+
 // Cache is one worker's compute cache, segmented by variable level.
 type Cache struct {
 	segs    []segment
 	maxBits uint
+	// segs3 are the ternary segments, allocated on the first ternary
+	// insert: builds that never run a ternary operation carry none.
+	segs3 []segment3
 
 	bddGen uint32
 	opGen  uint32
@@ -86,8 +104,15 @@ func (c *Cache) Misses() uint64  { return c.misses }
 func (c *Cache) Inserts() uint64 { return c.inserts }
 
 // InvalidateBDD advances the BDD generation: every entry whose value is a
-// BDD ref becomes stale. Called after garbage collection.
-func (c *Cache) InvalidateBDD() { c.bddGen++; c.opGen++ }
+// BDD ref becomes stale. Called after garbage collection. Since every
+// entry is then stale, the segments' storage is released as well: they
+// regrow to what the builds after the collection insert, instead of
+// keeping the size that every insert since the kernel started added up to.
+func (c *Cache) InvalidateBDD() {
+	c.bddGen++
+	c.opGen++
+	c.Shrink()
+}
 
 // InvalidateOps advances the op generation: every entry whose value is an
 // operator-node handle becomes stale. Called when operator arenas are
@@ -99,6 +124,9 @@ func (c *Cache) Bytes() uint64 {
 	var total uint64
 	for i := range c.segs {
 		total += uint64(len(c.segs[i].entries)) * 32
+	}
+	for i := range c.segs3 {
+		total += uint64(len(c.segs3[i].entries)) * 40
 	}
 	return total
 }
@@ -115,6 +143,7 @@ func (c *Cache) Shrink() uint64 {
 	for i := range c.segs {
 		c.segs[i] = segment{}
 	}
+	c.segs3 = nil
 	return freed
 }
 
@@ -199,6 +228,72 @@ func (c *Cache) Update(level int, op uint8, f, g node.Ref, val Tagged) {
 	}
 	e := &s.entries[hash3(op, f, g)&s.mask]
 	if e.f == f && e.g == g && e.op == op {
+		e.val, e.gen = val, c.genFor(val)
+	}
+}
+
+func hash4(op uint8, f, g, h node.Ref) uint64 {
+	return hash3(op, f, g) ^ uint64(h)*0x94D049BB133111EB
+}
+
+// Lookup3 is Lookup for a ternary operation (op, f, g, h).
+func (c *Cache) Lookup3(level int, op uint8, f, g, h node.Ref) (Tagged, bool) {
+	if c.segs3 == nil || c.segs3[level].entries == nil {
+		c.misses++
+		return 0, false
+	}
+	s := &c.segs3[level]
+	e := &s.entries[hash4(op, f, g, h)&s.mask]
+	if e.f == f && e.g == g && e.h == h && e.op == op && e.f != emptyF && e.gen == c.genFor(e.val) {
+		c.hits++
+		return e.val, true
+	}
+	c.misses++
+	return 0, false
+}
+
+// Insert3 is Insert for a ternary operation. Ternary segments start small
+// and grow under the same pressure rule as the binary ones.
+func (c *Cache) Insert3(level int, op uint8, f, g, h node.Ref, val Tagged) {
+	if c.segs3 == nil {
+		c.segs3 = make([]segment3, len(c.segs))
+	}
+	s := &c.segs3[level]
+	if s.entries == nil {
+		s.entries = make([]entry3, 1<<initialBits)
+		s.mask = 1<<initialBits - 1
+		for i := range s.entries {
+			s.entries[i].f = emptyF
+		}
+	} else if s.pressure > uint64(len(s.entries)) && uint64(len(s.entries)) < 1<<c.maxBits {
+		old := s.entries
+		s.entries = make([]entry3, len(old)*2)
+		s.mask = uint64(len(s.entries)) - 1
+		s.pressure = 0
+		for i := range s.entries {
+			s.entries[i].f = emptyF
+		}
+		for i := range old {
+			e := &old[i]
+			if e.f != emptyF && e.gen == c.genFor(e.val) {
+				s.entries[hash4(e.op, e.f, e.g, e.h)&s.mask] = *e
+			}
+		}
+	}
+	s.pressure++
+	c.inserts++
+	e := &s.entries[hash4(op, f, g, h)&s.mask]
+	e.op, e.f, e.g, e.h, e.val, e.gen = op, f, g, h, val, c.genFor(val)
+}
+
+// Update3 is Update for a ternary operation.
+func (c *Cache) Update3(level int, op uint8, f, g, h node.Ref, val Tagged) {
+	if c.segs3 == nil || c.segs3[level].entries == nil {
+		return
+	}
+	s := &c.segs3[level]
+	e := &s.entries[hash4(op, f, g, h)&s.mask]
+	if e.f == f && e.g == g && e.h == h && e.op == op {
 		e.val, e.gen = val, c.genFor(val)
 	}
 }

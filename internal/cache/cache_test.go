@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bfbdd/internal/node"
 )
@@ -182,5 +183,60 @@ func TestStaleSlotReusable(t *testing.T) {
 	v, ok := c.Lookup(0, 1, f, g)
 	if !ok || v.IsOpHandle() {
 		t.Fatalf("reinsert into stale slot failed: %v,%v", v, ok)
+	}
+}
+
+// TestEntrySizes pins the entry layouts: ternary entries live in their
+// own segments so the binary entry, probed on every Shannon step of
+// every binary build, keeps its 32 bytes.
+func TestEntrySizes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 32 {
+		t.Fatalf("binary entry is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(entry3{}); n != 40 {
+		t.Fatalf("ternary entry is %d bytes, want 40", n)
+	}
+}
+
+func TestTernaryLookupInsert(t *testing.T) {
+	c := New(4, 10)
+	f, g, h := mkRef(1, 0), mkRef(2, 3), mkRef(3, 5)
+	if c.Bytes() != 0 {
+		t.Fatalf("fresh cache holds %d bytes", c.Bytes())
+	}
+	if _, ok := c.Lookup3(1, 9, f, g, h); ok {
+		t.Fatal("hit in empty cache")
+	}
+	c.Insert3(1, 9, f, g, h, FromRef(node.One))
+	if v, ok := c.Lookup3(1, 9, f, g, h); !ok || v.Ref() != node.One {
+		t.Fatalf("Lookup3 = %v, %v", v, ok)
+	}
+	// The third operand and the op code are part of the key, and the
+	// binary segments never see ternary entries.
+	if _, ok := c.Lookup3(1, 9, f, g, f); ok {
+		t.Fatal("hit with a different third operand")
+	}
+	if _, ok := c.Lookup3(1, 8, f, g, h); ok {
+		t.Fatal("hit with a different op")
+	}
+	if _, ok := c.Lookup(1, 9, f, g); ok {
+		t.Fatal("binary lookup hit a ternary entry")
+	}
+	c.Update3(1, 9, f, g, h, FromRef(node.Zero))
+	if v, _ := c.Lookup3(1, 9, f, g, h); v.Ref() != node.Zero {
+		t.Fatalf("Update3 not applied: %v", v)
+	}
+	op := Tagged(1<<63 | 7)
+	c.Insert3(2, 9, f, g, h, op)
+	c.InvalidateOps()
+	if _, ok := c.Lookup3(2, 9, f, g, h); ok {
+		t.Fatal("op-handle entry survived InvalidateOps")
+	}
+	c.InvalidateBDD()
+	if _, ok := c.Lookup3(1, 9, f, g, h); ok {
+		t.Fatal("ref entry survived InvalidateBDD")
+	}
+	if c.Bytes() != 0 {
+		t.Fatalf("InvalidateBDD kept %d bytes of stale segments", c.Bytes())
 	}
 }

@@ -86,9 +86,9 @@ func (k *Kernel) applyBatchInto(ops []BinOp, results []node.Ref) {
 			case EngineDF:
 				results[i] = k.workers[0].dfApply(op.Op, op.F, op.G)
 			case EngineHybrid:
-				results[i] = k.workers[0].hybridApply(op.Op, op.F, op.G)
+				results[i] = k.workers[0].hybridApply(op.Op, op.F, op.G, node.Nil)
 			default:
-				results[i] = k.workers[0].pbfApply(op.Op, op.F, op.G)
+				results[i] = k.workers[0].pbfApply(op.Op, op.F, op.G, node.Nil)
 			}
 			// Results must survive the rest of the batch (no GC runs
 			// inside the batch, but pin for uniformity with parallel).

@@ -155,7 +155,16 @@ func interruptible(ctx context.Context) bool {
 //
 // Typed aborts — *BudgetError, *InternalError, injected faults — are
 // returned as errors regardless of whether ctx is cancellable.
-func (k *Kernel) ApplyCtx(ctx context.Context, op Op, f, g node.Ref) (r node.Ref, err error) {
+func (k *Kernel) ApplyCtx(ctx context.Context, op Op, f, g node.Ref) (node.Ref, error) {
+	return k.RunCtx(ctx, func() node.Ref { return k.Apply(op, f, g) })
+}
+
+// RunCtx runs op — one or more top-level kernel operations, such as a
+// call to ITE, Exists or Compose — with the cancellation and typed-abort
+// contract of ApplyCtx. The probe stays armed across all of op's builds,
+// so a multi-variable quantification stops at whichever build the
+// deadline falls in.
+func (k *Kernel) RunCtx(ctx context.Context, op func() node.Ref) (r node.Ref, err error) {
 	if interruptible(ctx) {
 		if err := ctx.Err(); err != nil {
 			return node.Nil, err
@@ -168,7 +177,7 @@ func (k *Kernel) ApplyCtx(ctx context.Context, op Op, f, g node.Ref) (r node.Ref
 		if rec == nil {
 			return
 		}
-		// Apply's convertAbort already discarded the transient build state
+		// The build's convertAbort already discarded the transient state
 		// before re-raising either the bare sentinel (cancellation) or a
 		// typed abort payload.
 		if _, ok := rec.(buildAborted); ok {
@@ -184,7 +193,7 @@ func (k *Kernel) ApplyCtx(ctx context.Context, op Op, f, g node.Ref) (r node.Ref
 		}
 		panic(rec)
 	}()
-	return k.Apply(op, f, g), nil
+	return op(), nil
 }
 
 // ApplyBatchCtx is ApplyBatch with cooperative cancellation (see

@@ -162,8 +162,8 @@ type Kernel struct {
 	pinsMu sync.Mutex
 	pins   map[*Pin]struct{}
 
-	// gcInhibit suppresses collection while composite algorithms hold
-	// unregistered intermediate refs.
+	// gcInhibit suppresses collection while a multi-build algorithm
+	// (level reordering) holds unregistered intermediate refs.
 	gcInhibit int
 	// gcLiveAfter is the live-node count after the last collection.
 	gcLiveAfter uint64
@@ -293,7 +293,7 @@ func (k *Kernel) mkNode(worker, level int, low, high node.Ref) node.Ref {
 }
 
 // MkNode is the exported canonical node constructor (used by the public
-// API for Var and by the composite algorithms).
+// API for Var and for the literals and cubes of the composite operators).
 func (k *Kernel) MkNode(level int, low, high node.Ref) node.Ref {
 	k.checkOpen()
 	if level < 0 || level >= k.opts.Levels {
@@ -386,7 +386,7 @@ func (k *Kernel) NumPins() int {
 	return len(k.pins)
 }
 
-// InhibitGC suppresses automatic collection until ReleaseGC; composite
+// InhibitGC suppresses automatic collection until ReleaseGC; multi-build
 // algorithms use it to keep unregistered intermediates alive.
 func (k *Kernel) InhibitGC() { k.gcInhibit++ }
 
@@ -460,13 +460,27 @@ func (k *Kernel) Apply(op Op, f, g node.Ref) node.Ref {
 	if plantedOracleBug && op == OpDiff && f == g && !f.IsTerminal() {
 		return node.One // deliberately wrong: f \ f is Zero (see oraclebug_on.go)
 	}
+	return k.build(op, f, g, node.Nil)
+}
+
+// build runs one top-level operation of any kind — binary, or one of
+// the composite kinds of composite.go, whose third operand h is node.Nil
+// unless the kind is ternary — with the configured engine.
+func (k *Kernel) build(op Op, f, g, h node.Ref) node.Ref {
 	k.applySeq++
 	// Operands must survive (and track) a pre-operation collection. The
 	// unpin is deferred so an aborted (canceled) build does not leak pins.
 	pf, pg := k.Pin(f), k.Pin(g)
+	var ph *Pin
+	if op.ternary() {
+		ph = k.Pin(h)
+	}
 	defer func() {
 		k.Unpin(pf)
 		k.Unpin(pg)
+		if ph != nil {
+			k.Unpin(ph)
+		}
 	}()
 	// A previous abort on an uninterruptible build (e.g. a mid-build
 	// budget trip) leaves its error latched in abortErr; only armInterrupt
@@ -477,16 +491,19 @@ func (k *Kernel) Apply(op Op, f, g node.Ref) node.Ref {
 	k.ensureReadable()
 	k.budgetGate()
 	f, g = pf.ref, pg.ref
+	if ph != nil {
+		h = ph.ref
+	}
 	var r node.Ref
 	switch k.opts.Engine {
 	case EngineDF:
-		r = k.workers[0].dfApply(op, f, g)
+		r = k.workers[0].dfRun(op, f, g, h)
 	case EngineHybrid:
-		r = k.workers[0].hybridApply(op, f, g)
+		r = k.workers[0].hybridApply(op, f, g, h)
 	case EngineBF, EnginePBF:
-		r = k.workers[0].pbfApply(op, f, g)
+		r = k.workers[0].pbfApply(op, f, g, h)
 	case EnginePar:
-		r = k.parApply(op, f, g)
+		r = k.parApply(op, f, g, h)
 	default:
 		panic("core: unknown engine")
 	}

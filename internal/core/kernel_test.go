@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"bfbdd/internal/node"
 )
@@ -122,4 +123,13 @@ func TestNewKernelPanicsOnBadLevels(t *testing.T) {
 		}
 	}()
 	NewKernel(Options{Levels: -1})
+}
+
+// TestOpNodeSize pins the operator node at 48 bytes: a ternary node's
+// third operand lives in the arena's side blocks, so binary builds keep
+// their operator-arena footprint.
+func TestOpNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(opNode{}); n != opNodeBytes {
+		t.Fatalf("opNode is %d bytes, want %d", n, opNodeBytes)
+	}
 }

@@ -36,19 +36,27 @@ const (
 	OpImp  // NOT f OR g
 	numBinaryOps
 
-	// Cache-only operation codes for the composite algorithms. They never
-	// appear in operator queues.
-	opExists
-	opForall
-	opRestrict
-	opCompose
+	// Composite operator kinds (composite.go). Their operator nodes share
+	// the binary kinds' per-level queues, reduction and compute caches;
+	// only the kernel's own entry points create them.
+	opRestrict // (f, lit): f with lit's variable fixed to lit's polarity
+	opExists   // (f, x): ∃x.f for the single variable x
+	opForall   // (f, x): ∀x.f
+	opITE      // (f, g, h): f ? g : h
+	opCompose  // (f, g, x): f with g substituted for the variable x
 )
 
 var opNames = map[Op]string{
 	OpAnd: "and", OpOr: "or", OpXor: "xor", OpNand: "nand",
 	OpNor: "nor", OpXnor: "xnor", OpDiff: "diff", OpImp: "imp",
-	opExists: "exists", opForall: "forall", opRestrict: "restrict", opCompose: "compose",
+	opRestrict: "restrict", opExists: "exists", opForall: "forall",
+	opITE: "ite", opCompose: "compose",
 }
+
+// ternary reports whether op takes a third operand, which its operator
+// node keeps in the arena's side blocks and its cache entry in the
+// ternary cache segments.
+func (op Op) ternary() bool { return op >= opITE }
 
 // String returns the operation mnemonic.
 func (op Op) String() string {

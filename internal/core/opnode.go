@@ -71,20 +71,48 @@ const (
 	opBlockMask  = opBlockSize - 1
 )
 
+// opBlock is one block of an operator arena.
+type opBlock struct {
+	nodes [opBlockSize]opNode
+	// thirds holds the third operand of the block's ternary operator
+	// nodes (ITE, Compose). It is allocated when the first one lands in
+	// the block, so binary builds never pay for it and opNode keeps its
+	// binary size.
+	thirds *[opBlockSize]node.Ref
+}
+
 // opArena is the operator-node manager for one (worker, variable) pair.
 // Like the BDD node arenas, it allocates in blocks and is walked
 // contiguously, which is what makes the breadth-first queues cache
 // friendly; the arena itself doubles as backing storage for both the
 // operator queue and the reduce queue.
 type opArena struct {
-	blocks [][]opNode
+	// blocks is the block directory. Other workers resolve handles into
+	// this arena (steals, stalled reductions, cache hits) while its owner
+	// allocates, so the owner grows the directory by publishing a new
+	// slice header and only ever writes elements past the published
+	// length.
+	blocks atomic.Pointer[[]*opBlock]
 	n      uint32
+	// thirdBlocks counts the blocks that carry a thirds array.
+	thirdBlocks int
+}
+
+// dir returns the published block directory.
+func (a *opArena) dir() []*opBlock {
+	if p := a.blocks.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func (a *opArena) alloc(op Op, f, g node.Ref) uint32 {
 	i := a.n
-	if i>>opBlockShift == uint32(len(a.blocks)) {
-		a.blocks = append(a.blocks, make([]opNode, opBlockSize))
+	if i&opBlockMask == 0 {
+		if dir := a.dir(); int(i>>opBlockShift) == len(dir) {
+			dir = append(dir, new(opBlock))
+			a.blocks.Store(&dir)
+		}
 	}
 	a.n++
 	nd := a.at(i)
@@ -96,7 +124,22 @@ func (a *opArena) alloc(op Op, f, g node.Ref) uint32 {
 }
 
 func (a *opArena) at(i uint32) *opNode {
-	return &a.blocks[i>>opBlockShift][i&opBlockMask]
+	return &(*a.blocks.Load())[i>>opBlockShift].nodes[i&opBlockMask]
+}
+
+// setThird records the third operand of the ternary operator node i.
+func (a *opArena) setThird(i uint32, h node.Ref) {
+	b := (*a.blocks.Load())[i>>opBlockShift]
+	if b.thirds == nil {
+		b.thirds = new([opBlockSize]node.Ref)
+		a.thirdBlocks++
+	}
+	b.thirds[i&opBlockMask] = h
+}
+
+// third returns the third operand of the ternary operator node i.
+func (a *opArena) third(i uint32) node.Ref {
+	return (*a.blocks.Load())[i>>opBlockShift].thirds[i&opBlockMask]
 }
 
 func (a *opArena) len() uint32 { return a.n }
@@ -105,6 +148,8 @@ func (a *opArena) len() uint32 { return a.n }
 func (a *opArena) reset() { a.n = 0 }
 
 // release returns block storage to the runtime.
-func (a *opArena) release() { a.blocks = nil; a.n = 0 }
+func (a *opArena) release() { a.blocks.Store(nil); a.n, a.thirdBlocks = 0, 0 }
 
-func (a *opArena) bytes() uint64 { return uint64(len(a.blocks)) * opBlockSize * opNodeBytes }
+func (a *opArena) bytes() uint64 {
+	return uint64(len(a.dir()))*opBlockSize*opNodeBytes + uint64(a.thirdBlocks)*opBlockSize*8
+}

@@ -3,26 +3,45 @@ package core
 import (
 	"math/big"
 
-	"bfbdd/internal/cache"
 	"bfbdd/internal/node"
 )
 
 // Exists computes ∃ cube . f: existential quantification of f over the
 // variables of cube, which must be a positive cube (a conjunction of
-// variables, as built by CubeRef).
-func (k *Kernel) Exists(f, cube node.Ref) node.Ref {
-	k.ensureReadable()
-	k.InhibitGC()
-	defer k.ReleaseGC()
-	return k.workers[0].quantRec(opExists, f, cube)
-}
+// variables, as built by CubeRef). It runs one single-variable build per
+// cube variable, deepest variable first.
+func (k *Kernel) Exists(f, cube node.Ref) node.Ref { return k.quantify(opExists, f, cube) }
 
 // Forall computes ∀ cube . f: universal quantification.
-func (k *Kernel) Forall(f, cube node.Ref) node.Ref {
+func (k *Kernel) Forall(f, cube node.Ref) node.Ref { return k.quantify(opForall, f, cube) }
+
+// quantify folds the single-variable operation op over the cube's
+// variables, deepest first. A variable above the current operand's top
+// variable cannot occur in it and costs no build. Each step's result is
+// the next step's operand, which that build pins, so no intermediate is
+// left unprotected at the collection a build may run on entry.
+func (k *Kernel) quantify(op Op, f, cube node.Ref) node.Ref {
+	k.checkOpen()
+	if !f.Valid() || !cube.Valid() {
+		panic("core: quantification with invalid operand")
+	}
 	k.ensureReadable()
-	k.InhibitGC()
-	defer k.ReleaseGC()
-	return k.workers[0].quantRec(opForall, f, cube)
+	var levels []int
+	for !cube.IsTerminal() {
+		nd := k.store.Node(cube)
+		if !nd.Low.IsZero() {
+			panic("core: quantification cube must be a positive cube")
+		}
+		levels = append(levels, cube.Level())
+		cube = nd.High
+	}
+	if cube.IsZero() {
+		panic("core: quantification cube must be a positive cube")
+	}
+	for i := len(levels) - 1; i >= 0 && f.Level() <= levels[i]; i-- {
+		f = k.build(op, f, k.VarRef(levels[i]), node.Nil)
+	}
+	return f
 }
 
 // CubeRef builds the positive cube over the given levels (conjunction of
@@ -46,133 +65,46 @@ func (k *Kernel) CubeRef(levels []int) node.Ref {
 	return r
 }
 
-func (w *worker) quantRec(op Op, f, cube node.Ref) node.Ref {
-	k := w.k
-	st := k.store
-	// Skip cube variables with higher precedence than f's top variable:
-	// they do not occur in f, so quantifying them is the identity.
-	for !cube.IsTerminal() && cube.Level() < f.Level() {
-		cube = st.Node(cube).High
-	}
-	if cube.IsOne() || f.IsTerminal() {
-		return f
-	}
-	if cube.IsZero() {
-		panic("core: quantification cube must be a positive cube")
-	}
-	lvl := f.Level()
-	if v, ok := w.cache.Lookup(lvl, uint8(op), f, cube); ok && !v.IsOpHandle() {
-		w.st.CacheHits++
-		return v.Ref()
-	}
-	nd := st.Node(f)
-	var res node.Ref
-	if cube.Level() == lvl {
-		next := st.Node(cube).High
-		// GC is inhibited for the whole quantification, so raw refs stay
-		// valid across the recursive calls and Applies below.
-		r0 := w.quantRec(op, nd.Low, next)
-		r1 := w.quantRec(op, nd.High, next)
-		if op == opExists {
-			res = k.Apply(OpOr, r0, r1)
-		} else {
-			res = k.Apply(OpAnd, r0, r1)
-		}
-	} else {
-		r0 := w.quantRec(op, nd.Low, cube)
-		r1 := w.quantRec(op, nd.High, cube)
-		res = k.mkNode(w.id, lvl, r0, r1)
-	}
-	w.cache.Insert(lvl, uint8(op), f, cube, cache.FromRef(res))
-	return res
-}
-
-// Restrict computes f with the variable at level fixed to value.
+// Restrict computes f with the variable at level fixed to value, as one
+// build whose second operand is the literal.
 func (k *Kernel) Restrict(f node.Ref, level int, value bool) node.Ref {
-	k.ensureReadable()
+	k.checkOpen()
+	if !f.Valid() {
+		panic("core: Restrict with invalid operand")
+	}
 	var lit node.Ref
 	if value {
 		lit = k.MkNode(level, node.Zero, node.One)
 	} else {
 		lit = k.MkNode(level, node.One, node.Zero)
 	}
-	k.InhibitGC()
-	defer k.ReleaseGC()
-	return k.workers[0].restrictRec(f, lit)
+	return k.build(opRestrict, f, lit, node.Nil)
 }
 
-func (w *worker) restrictRec(f, lit node.Ref) node.Ref {
-	k := w.k
-	st := k.store
-	llvl := lit.Level()
-	if f.IsTerminal() || f.Level() > llvl {
-		return f // the restricted variable does not occur in f
-	}
-	if f.Level() == llvl {
-		nd := st.Node(f)
-		if st.Node(lit).High.IsOne() {
-			return nd.High
-		}
-		return nd.Low
-	}
-	lvl := f.Level()
-	if v, ok := w.cache.Lookup(lvl, uint8(opRestrict), f, lit); ok && !v.IsOpHandle() {
-		w.st.CacheHits++
-		return v.Ref()
-	}
-	nd := st.Node(f)
-	r0 := w.restrictRec(nd.Low, lit)
-	r1 := w.restrictRec(nd.High, lit)
-	res := k.mkNode(w.id, lvl, r0, r1)
-	w.cache.Insert(lvl, uint8(opRestrict), f, lit, cache.FromRef(res))
-	return res
-}
-
-// ITE computes if-then-else: f ? g : h.
+// ITE computes if-then-else: f ? g : h, as one ternary build.
 func (k *Kernel) ITE(f, g, h node.Ref) node.Ref {
-	k.InhibitGC()
-	defer k.ReleaseGC()
-	fg := k.Apply(OpAnd, f, g)
-	nfh := k.Apply(OpDiff, h, f) // h AND NOT f
-	return k.Apply(OpOr, fg, nfh)
+	k.checkOpen()
+	if !f.Valid() || !g.Valid() || !h.Valid() {
+		panic("core: ITE with invalid operand")
+	}
+	return k.build(opITE, f, g, h)
 }
 
-// Compose substitutes the function g for the variable at level in f.
+// Compose substitutes the function g for the variable at level in f: the
+// identity Compose(f, x, g) = ITE(g, f|x=1, f|x=0), built in one ternary
+// pass that becomes ITE at x's level (see composite.go).
 func (k *Kernel) Compose(f node.Ref, level int, g node.Ref) node.Ref {
-	k.ensureReadable()
-	k.InhibitGC()
-	defer k.ReleaseGC()
-	memo := make(map[node.Ref]node.Ref)
-	return k.composeRec(f, level, g, memo)
-}
-
-func (k *Kernel) composeRec(f node.Ref, level int, g node.Ref, memo map[node.Ref]node.Ref) node.Ref {
-	if f.IsTerminal() || f.Level() > level {
-		return f
+	k.checkOpen()
+	if !f.Valid() || !g.Valid() {
+		panic("core: Compose with invalid operand")
 	}
-	if r, ok := memo[f]; ok {
-		return r
-	}
-	nd := k.store.Node(f)
-	var res node.Ref
-	if f.Level() == level {
-		res = k.ITE(g, nd.High, nd.Low)
-	} else {
-		r0 := k.composeRec(nd.Low, level, g, memo)
-		r1 := k.composeRec(nd.High, level, g, memo)
-		// g may introduce variables above f's level, so rebuild with ITE
-		// on f's variable rather than mkNode, which would assume the
-		// children stay below this level.
-		v := k.MkNode(f.Level(), node.Zero, node.One)
-		res = k.ITE(v, r1, r0)
-	}
-	memo[f] = res
-	return res
+	return k.build(opCompose, f, g, k.VarRef(level))
 }
 
 // SatCount returns the exact number of satisfying assignments of f over
 // all of the kernel's variables.
 func (k *Kernel) SatCount(f node.Ref) *big.Int {
+	k.checkOpen()
 	k.ensureReadable()
 	memo := make(map[node.Ref]*big.Int)
 	c := k.satCountRec(f, memo)
@@ -211,6 +143,7 @@ func (k *Kernel) satCountRec(f node.Ref, memo map[node.Ref]*big.Int) *big.Int {
 // AnySat returns one satisfying assignment of f as a slice indexed by
 // level: 0, 1, or -1 (don't care). ok is false when f is unsatisfiable.
 func (k *Kernel) AnySat(f node.Ref) (assignment []int8, ok bool) {
+	k.checkOpen()
 	k.ensureReadable()
 	if f.IsZero() {
 		return nil, false
@@ -236,6 +169,7 @@ func (k *Kernel) AnySat(f node.Ref) (assignment []int8, ok bool) {
 
 // Eval evaluates f under a complete assignment indexed by level.
 func (k *Kernel) Eval(f node.Ref, assignment []bool) bool {
+	k.checkOpen()
 	k.ensureReadable()
 	for !f.IsTerminal() {
 		nd := k.store.Node(f)
@@ -249,11 +183,15 @@ func (k *Kernel) Eval(f node.Ref, assignment []bool) bool {
 }
 
 // Size returns the number of internal nodes in f's reachable subgraph.
-func (k *Kernel) Size(f node.Ref) int { return k.SizeMulti([]node.Ref{f}) }
+func (k *Kernel) Size(f node.Ref) int {
+	k.checkOpen()
+	return k.SizeMulti([]node.Ref{f})
+}
 
 // SizeMulti returns the number of distinct internal nodes reachable from
 // any of the given roots (shared nodes counted once).
 func (k *Kernel) SizeMulti(roots []node.Ref) int {
+	k.checkOpen()
 	k.ensureReadable()
 	seen := make(map[node.Ref]bool)
 	var stack []node.Ref
@@ -281,6 +219,7 @@ func (k *Kernel) SizeMulti(roots []node.Ref) int {
 
 // Support returns the sorted levels of the variables occurring in f.
 func (k *Kernel) Support(f node.Ref) []int {
+	k.checkOpen()
 	k.ensureReadable()
 	present := make(map[int]bool)
 	seen := make(map[node.Ref]bool)

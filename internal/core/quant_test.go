@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -11,6 +12,30 @@ import (
 
 func quantKernel() *Kernel {
 	return NewKernel(Options{Levels: 6, Engine: EnginePBF, EvalThreshold: 16, GroupSize: 4})
+}
+
+// quantEngines is the engine matrix of the composite-operator tests. The
+// tiny threshold and group size make the breadth-first engines push
+// evaluation contexts, and par2 steal, on these 6-variable functions.
+var quantEngines = []Options{
+	{Engine: EngineDF},
+	{Engine: EngineBF},
+	{Engine: EngineHybrid, EvalThreshold: 16},
+	{Engine: EnginePBF, EvalThreshold: 16, GroupSize: 4},
+	{Engine: EnginePar, Workers: 2, EvalThreshold: 16, GroupSize: 4, Stealing: true},
+}
+
+// forEachEngine runs fn as a subtest on a fresh 6-level kernel of every
+// engine in quantEngines.
+func forEachEngine(t *testing.T, fn func(t *testing.T, k *Kernel)) {
+	for _, o := range quantEngines {
+		o.Levels = 6
+		name := o.Engine.String()
+		if o.Workers > 1 {
+			name = fmt.Sprintf("%s%d", name, o.Workers)
+		}
+		t.Run(name, func(t *testing.T) { fn(t, NewKernel(o)) })
+	}
 }
 
 // randomFunc builds a random function and its truth mask.
@@ -75,121 +100,207 @@ func maskOf(k *Kernel, f node.Ref, nvars int) uint64 {
 }
 
 func TestExistsForallAgainstTruthTables(t *testing.T) {
-	k := quantKernel()
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 25; trial++ {
-		f, m := randomFunc(k, rng, 6, 40)
-		vars := []int{rng.Intn(6)}
-		if trial%2 == 0 {
-			vars = append(vars, rng.Intn(6))
-		}
-		cube := k.CubeRef(vars)
-
-		wantE, wantA := m, m
-		done := map[int]bool{}
-		for _, v := range vars {
-			if done[v] {
-				continue
+	forEachEngine(t, func(t *testing.T, k *Kernel) {
+		rng := rand.New(rand.NewSource(3))
+		for trial := 0; trial < 25; trial++ {
+			f, m := randomFunc(k, rng, 6, 40)
+			vars := []int{rng.Intn(6)}
+			if trial%2 == 0 {
+				vars = append(vars, rng.Intn(6), rng.Intn(6))
 			}
-			done[v] = true
-			wantE = maskExists(wantE, v, 6)
-			wantA = maskForall(wantA, v, 6)
+			cube := k.CubeRef(vars)
+
+			wantE, wantA := m, m
+			done := map[int]bool{}
+			for _, v := range vars {
+				if done[v] {
+					continue
+				}
+				done[v] = true
+				wantE = maskExists(wantE, v, 6)
+				wantA = maskForall(wantA, v, 6)
+			}
+			if got := maskOf(k, k.Exists(f, cube), 6); got != wantE {
+				t.Fatalf("trial %d: Exists mask %x want %x (vars %v)", trial, got, wantE, vars)
+			}
+			if got := maskOf(k, k.Forall(f, cube), 6); got != wantA {
+				t.Fatalf("trial %d: Forall mask %x want %x (vars %v)", trial, got, wantA, vars)
+			}
 		}
-		if got := maskOf(k, k.Exists(f, cube), 6); got != wantE {
-			t.Fatalf("trial %d: Exists mask %x want %x (vars %v)", trial, got, wantE, vars)
-		}
-		if got := maskOf(k, k.Forall(f, cube), 6); got != wantA {
-			t.Fatalf("trial %d: Forall mask %x want %x (vars %v)", trial, got, wantA, vars)
-		}
-	}
+	})
 }
 
 func TestQuantifierIdentities(t *testing.T) {
-	k := quantKernel()
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		f, _ := randomFunc(k, rng, 6, 30)
-		v := rng.Intn(6)
-		cube := k.CubeRef([]int{v})
+	forEachEngine(t, func(t *testing.T, k *Kernel) {
+		rng := rand.New(rand.NewSource(17))
+		for trial := 0; trial < 20; trial++ {
+			f, _ := randomFunc(k, rng, 6, 30)
+			v := rng.Intn(6)
+			cube := k.CubeRef([]int{v})
 
-		// ∃v f = f|v=0 ∨ f|v=1 ; ∀v f = f|v=0 ∧ f|v=1.
-		f0 := k.Restrict(f, v, false)
-		f1 := k.Restrict(f, v, true)
-		if k.Exists(f, cube) != k.Apply(OpOr, f0, f1) {
-			t.Fatalf("trial %d: exists identity failed", trial)
+			// ∃v f = f|v=0 ∨ f|v=1 ; ∀v f = f|v=0 ∧ f|v=1.
+			f0 := k.Restrict(f, v, false)
+			f1 := k.Restrict(f, v, true)
+			if k.Exists(f, cube) != k.Apply(OpOr, f0, f1) {
+				t.Fatalf("trial %d: exists identity failed", trial)
+			}
+			if k.Forall(f, cube) != k.Apply(OpAnd, f0, f1) {
+				t.Fatalf("trial %d: forall identity failed", trial)
+			}
+			// De Morgan over quantifiers: ¬∃v f = ∀v ¬f.
+			if k.Not(k.Exists(f, cube)) != k.Forall(k.Not(f), cube) {
+				t.Fatalf("trial %d: quantifier De Morgan failed", trial)
+			}
+			// Quantifying a variable not in the support is the identity.
+			outside := k.CubeRef([]int{(v + 1) % 6})
+			g := k.Restrict(f, (v+1)%6, false) // eliminate the var first
+			if k.Exists(g, outside) != g {
+				t.Fatalf("trial %d: exists over absent var changed f", trial)
+			}
 		}
-		if k.Forall(f, cube) != k.Apply(OpAnd, f0, f1) {
-			t.Fatalf("trial %d: forall identity failed", trial)
-		}
-		// De Morgan over quantifiers: ¬∃v f = ∀v ¬f.
-		if k.Not(k.Exists(f, cube)) != k.Forall(k.Not(f), cube) {
-			t.Fatalf("trial %d: quantifier De Morgan failed", trial)
-		}
-		// Quantifying a variable not in the support is the identity.
-		outside := k.CubeRef([]int{(v + 1) % 6})
-		g := k.Restrict(f, (v+1)%6, false) // eliminate the var first
-		if k.Exists(g, outside) != g {
-			t.Fatalf("trial %d: exists over absent var changed f", trial)
-		}
-	}
+	})
 }
 
 func TestRestrictAgainstTruthTables(t *testing.T) {
-	k := quantKernel()
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 25; trial++ {
-		f, m := randomFunc(k, rng, 6, 40)
-		v := rng.Intn(6)
-		val := rng.Intn(2) == 1
-		got := maskOf(k, k.Restrict(f, v, val), 6)
-		want := maskRestrict(m, v, val, 6)
-		if got != want {
-			t.Fatalf("trial %d: restrict(%d,%v) mask %x want %x", trial, v, val, got, want)
+	forEachEngine(t, func(t *testing.T, k *Kernel) {
+		rng := rand.New(rand.NewSource(23))
+		for trial := 0; trial < 25; trial++ {
+			f, m := randomFunc(k, rng, 6, 40)
+			v := rng.Intn(6)
+			val := rng.Intn(2) == 1
+			got := maskOf(k, k.Restrict(f, v, val), 6)
+			want := maskRestrict(m, v, val, 6)
+			if got != want {
+				t.Fatalf("trial %d: restrict(%d,%v) mask %x want %x", trial, v, val, got, want)
+			}
 		}
-	}
+	})
 }
 
-func TestComposeAgainstShannon(t *testing.T) {
-	// compose(f, v, g) must equal ITE(g, f|v=1, f|v=0).
-	k := quantKernel()
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		f, _ := randomFunc(k, rng, 6, 30)
-		g, _ := randomFunc(k, rng, 6, 20)
-		v := rng.Intn(6)
-		got := k.Compose(f, v, g)
-		want := k.ITE(g, k.Restrict(f, v, true), k.Restrict(f, v, false))
-		if got != want {
-			t.Fatalf("trial %d: compose != Shannon form", trial)
+// maskCompose computes f[v := g] over 6-variable truth masks: row r takes
+// f's value on r with v's bit replaced by g's value on r.
+func maskCompose(mf, mg uint64, v, nvars int) uint64 {
+	var out uint64
+	for row := 0; row < 1<<nvars; row++ {
+		fixed := row &^ (1 << (nvars - 1 - v))
+		if mg>>row&1 == 1 {
+			fixed |= 1 << (nvars - 1 - v)
+		}
+		if mf>>fixed&1 == 1 {
+			out |= 1 << row
 		}
 	}
+	return out
+}
+
+func TestComposeAgainstTruthTables(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, k *Kernel) {
+		rng := rand.New(rand.NewSource(31))
+		for trial := 0; trial < 25; trial++ {
+			f, mf := randomFunc(k, rng, 6, 30)
+			g, mg := randomFunc(k, rng, 6, 20)
+			if trial%5 == 0 {
+				g, mg = node.One, 1<<64-1 // constant g restricts f
+			}
+			v := rng.Intn(6)
+			got := maskOf(k, k.Compose(f, v, g), 6)
+			if want := maskCompose(mf, mg, v, 6); got != want {
+				t.Fatalf("trial %d: compose(f, %d, g) mask %x want %x", trial, v, got, want)
+			}
+		}
+	})
 }
 
 func TestComposeIdentity(t *testing.T) {
-	k := quantKernel()
-	rng := rand.New(rand.NewSource(37))
-	f, _ := randomFunc(k, rng, 6, 30)
-	// Substituting a variable with itself is the identity.
-	for v := 0; v < 6; v++ {
-		if k.Compose(f, v, k.VarRef(v)) != f {
-			t.Fatalf("compose(f, %d, x%d) != f", v, v)
+	forEachEngine(t, func(t *testing.T, k *Kernel) {
+		rng := rand.New(rand.NewSource(37))
+		f, _ := randomFunc(k, rng, 6, 30)
+		// Substituting a variable with itself is the identity.
+		for v := 0; v < 6; v++ {
+			if k.Compose(f, v, k.VarRef(v)) != f {
+				t.Fatalf("compose(f, %d, x%d) != f", v, v)
+			}
 		}
-	}
+	})
 }
 
 func TestITETruthTable(t *testing.T) {
-	k := quantKernel()
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 20; trial++ {
-		f, mf := randomFunc(k, rng, 6, 20)
-		g, mg := randomFunc(k, rng, 6, 20)
-		h, mh := randomFunc(k, rng, 6, 20)
-		got := maskOf(k, k.ITE(f, g, h), 6)
-		want := (mf & mg) | (mh &^ mf)
-		if got != want {
-			t.Fatalf("trial %d: ITE mask %x want %x", trial, got, want)
+	forEachEngine(t, func(t *testing.T, k *Kernel) {
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < 30; trial++ {
+			f, mf := randomFunc(k, rng, 6, 20)
+			g, mg := randomFunc(k, rng, 6, 20)
+			h, mh := randomFunc(k, rng, 6, 20)
+			switch trial % 6 { // drive the normalisation rules too
+			case 1:
+				g, mg = f, mf
+			case 2:
+				h, mh = f, mf
+			case 3:
+				g, mg, h, mh = node.Zero, 0, node.One, 1<<64-1
+			}
+			got := maskOf(k, k.ITE(f, g, h), 6)
+			want := (mf & mg) | (mh &^ mf)
+			if got != want {
+				t.Fatalf("trial %d: ITE mask %x want %x", trial, got, want)
+			}
 		}
-	}
+	})
+}
+
+// TestCompositeBuildCount pins the build count of each composite
+// operation: ITE, Compose and Restrict are one build whatever the size of
+// f, and quantifying k variables is at most k single-variable builds —
+// exactly k when every variable can occur in the operand at its step,
+// none for a variable above the operand's top variable.
+func TestCompositeBuildCount(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, k *Kernel) {
+		rng := rand.New(rand.NewSource(53))
+		builds := func(op func()) uint64 {
+			before := k.applySeq
+			op()
+			return k.applySeq - before
+		}
+		x := func(l int) node.Ref { return k.VarRef(l) }
+		// any is x1 ∨ … ∨ x5: quantifying at most four of those variables
+		// out of it never yields 0, so x0 ∧ (any ∨ r) keeps x0 on top
+		// through every step of the fold.
+		anyVar := node.Zero
+		for l := 1; l < 6; l++ {
+			anyVar = k.Apply(OpOr, anyVar, x(l))
+		}
+		for _, steps := range []int{5, 60} {
+			r, _ := randomFunc(k, rng, 6, steps)
+			g, _ := randomFunc(k, rng, 6, steps)
+			h, _ := randomFunc(k, rng, 6, steps)
+			f := k.Apply(OpAnd, x(0), k.Apply(OpOr, anyVar, r))
+			if n := builds(func() { k.ITE(f, g, h) }); n != 1 {
+				t.Fatalf("ITE started %d builds, want 1", n)
+			}
+			if n := builds(func() { k.Compose(f, 2, g) }); n != 1 {
+				t.Fatalf("Compose started %d builds, want 1", n)
+			}
+			if n := builds(func() { k.Restrict(f, 3, true) }); n != 1 {
+				t.Fatalf("Restrict started %d builds, want 1", n)
+			}
+			for nv := 1; nv <= 4; nv++ {
+				vars := rng.Perm(5)[:nv]
+				for i := range vars {
+					vars[i]++
+				}
+				cube := k.CubeRef(vars)
+				if n := builds(func() { k.Exists(f, cube) }); n != uint64(nv) {
+					t.Fatalf("Exists over %d vars started %d builds", nv, n)
+				}
+				if n := builds(func() { k.Forall(f, cube) }); n != uint64(nv) {
+					t.Fatalf("Forall over %d vars started %d builds", nv, n)
+				}
+			}
+			if n := builds(func() { k.Exists(anyVar, k.CubeRef([]int{0})) }); n != 0 {
+				t.Fatalf("Exists over a variable above the top started %d builds", n)
+			}
+		}
+	})
 }
 
 func TestSatCountAgainstEnumeration(t *testing.T) {

@@ -196,10 +196,14 @@ func (w *worker) expand(allowPush bool) (pushed *ownerCtx, overflow bool) {
 		for i := 0; i < len(q); i++ {
 			h := q[i]
 			o := w.opAt(h)
-			fl, gl := k.store.Low(o.f, lvl), k.store.Low(o.g, lvl)
-			o.b0 = w.preprocess(o.op, fl, gl)
-			fh, gh := k.store.High(o.f, lvl), k.store.High(o.g, lvl)
-			o.b1 = w.preprocess(o.op, fh, gh)
+			if o.op < numBinaryOps {
+				fl, gl := k.store.Low(o.f, lvl), k.store.Low(o.g, lvl)
+				o.b0 = w.preprocess(o.op, fl, gl)
+				fh, gh := k.store.High(o.f, lvl), k.store.High(o.g, lvl)
+				o.b1 = w.preprocess(o.op, fh, gh)
+			} else {
+				w.expandOp(o, h, lvl)
+			}
 			w.curReduce[lvl] = append(w.curReduce[lvl], h)
 			w.pendingTotal--
 			w.st.Ops++
@@ -560,8 +564,7 @@ func (w *worker) forceResolve(deferred []opRef) {
 			if bo.state.Load() == opDone {
 				continue
 			}
-			res := w.dfApply(bo.op, bo.f, bo.g)
-			bo.setResult(res)
+			bo.setResult(w.dfOp(opRef(branch)))
 			w.st.ForcedOps++
 		}
 	}
@@ -593,9 +596,9 @@ func (w *worker) runIsolated(g []opRef) {
 // pbfApply runs one top-level operation with the (sequential) partial
 // breadth-first engine. With an unbounded threshold this is the pure
 // breadth-first algorithm.
-func (w *worker) pbfApply(op Op, f, g node.Ref) node.Ref {
+func (w *worker) pbfApply(op Op, f, g, h node.Ref) node.Ref {
 	w.nOps = 0
-	root := w.preprocess(op, f, g)
+	root := w.seed(op, f, g, h)
 	if !root.IsOpHandle() {
 		return root.Ref()
 	}
@@ -649,10 +652,10 @@ func (w *worker) idleLoop() {
 }
 
 // parApply runs one top-level operation with the parallel engine.
-func (k *Kernel) parApply(op Op, f, g node.Ref) node.Ref {
+func (k *Kernel) parApply(op Op, f, g, h node.Ref) node.Ref {
 	w0 := k.workers[0]
 	w0.nOps = 0
-	root := w0.preprocess(op, f, g)
+	root := w0.seed(op, f, g, h)
 	if !root.IsOpHandle() {
 		return root.Ref()
 	}
@@ -741,9 +744,9 @@ func (w *worker) dfExpandOnce(op Op, f, g node.Ref, lvl int) node.Ref {
 // hybridApply is the hybrid engine of [8]: breadth-first expansion until
 // the evaluation threshold, then depth-first evaluation of the remaining
 // queued operations, then the normal breadth-first reduction.
-func (w *worker) hybridApply(op Op, f, g node.Ref) node.Ref {
+func (w *worker) hybridApply(op Op, f, g, h node.Ref) node.Ref {
 	w.nOps = 0
-	root := w.preprocess(op, f, g)
+	root := w.seed(op, f, g, h)
 	if !root.IsOpHandle() {
 		return root.Ref()
 	}
@@ -757,13 +760,12 @@ func (w *worker) hybridApply(op Op, f, g node.Ref) node.Ref {
 		// Depth-first drain of everything still pending.
 		for lvl := 0; lvl < w.k.opts.Levels; lvl++ {
 			q := w.pending[lvl]
-			for _, h := range q {
-				o := w.opAt(h)
+			for _, hd := range q {
+				o := w.opAt(hd)
 				if o.state.Load() == opDone {
 					continue
 				}
-				res := w.dfApply(o.op, o.f, o.g)
-				o.setResult(res)
+				o.setResult(w.dfOp(hd))
 			}
 			w.pendingTotal -= len(q)
 			w.pending[lvl] = q[:0]

@@ -235,6 +235,20 @@ func (ex *executor) step(i int, r OpRec) *Divergence {
 			ex.truths = append(ex.truths, ex.truths[a].Forall(mask))
 		}
 		return ex.checkNewest(i, r.Seed)
+	case KITE:
+		a, b, c := ex.slot(r.A), ex.slot(r.B), ex.slot(r.C)
+		for _, st := range ex.engs {
+			st.slots = append(st.slots, st.slots[a].ITE(st.slots[b], st.slots[c]))
+		}
+		ex.truths = append(ex.truths, ex.truths[a].ITE(ex.truths[b], ex.truths[c]))
+		return ex.checkNewest(i, r.Seed)
+	case KCompose:
+		a, b, v := ex.slot(r.A), ex.slot(r.B), r.Var%vars
+		for _, st := range ex.engs {
+			st.slots = append(st.slots, st.slots[a].Compose(v, st.slots[b]))
+		}
+		ex.truths = append(ex.truths, ex.truths[a].Compose(v, ex.truths[b]))
+		return ex.checkNewest(i, r.Seed)
 	case KCircuit:
 		return ex.execCircuit(i, r)
 	case KMeta:

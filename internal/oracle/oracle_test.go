@@ -140,6 +140,58 @@ func TestCompileOp(t *testing.T) {
 	}
 }
 
+// TestITEOp pins a sequence with explicit ITE ops so the ternary build
+// is cross-checked against the truth table and across engines even when
+// generated sequences happen not to draw one. The operands include a
+// circuit's outputs (large enough to push contexts and steal on the
+// parallel engines), constants, and repeated slots that hit the
+// normalisation rules (f ? f : h, f ? g : f, f ? 0 : 1).
+func TestITEOp(t *testing.T) {
+	seq := oracle.Sequence{
+		Vars: 8,
+		Ops: []oracle.OpRec{
+			{Kind: oracle.KCircuit, A: 8, B: 14, Seed: 201},
+			{Kind: oracle.KITE, A: 10, B: 11, C: 12, Seed: 202},
+			{Kind: oracle.KITE, A: 13, B: 13, C: 14, Seed: 203},
+			{Kind: oracle.KITE, A: 15, B: 16, C: 15, Seed: 204},
+			{Kind: oracle.KITE, A: 17, B: 0, C: 1, Seed: 205},
+			{Kind: oracle.KITE, A: 2, B: 18, C: 19, Seed: 206},
+			{Kind: oracle.KGC, A: 18, Seed: 207},
+			{Kind: oracle.KITE, A: 18, B: 19, C: 20, Seed: 208},
+			{Kind: oracle.KSatCount, A: 22},
+		},
+	}
+	rep := oracle.Run(seq, oracle.DefaultEngines())
+	if rep.Div != nil {
+		t.Fatalf("%s\ntrace:\n%s", rep.Div, rep.Seq)
+	}
+}
+
+// TestComposeOp pins a sequence with explicit Compose ops: substituting
+// a circuit output for a variable, a variable for itself (the identity),
+// a constant (a restriction), and a function that depends on the
+// substituted variable, then composing again after a reorder.
+func TestComposeOp(t *testing.T) {
+	seq := oracle.Sequence{
+		Vars: 8,
+		Ops: []oracle.OpRec{
+			{Kind: oracle.KCircuit, A: 8, B: 14, Seed: 301},
+			{Kind: oracle.KCompose, A: 10, Var: 3, B: 11, Seed: 302},
+			{Kind: oracle.KCompose, A: 12, Var: 4, B: 6, Seed: 303},
+			{Kind: oracle.KCompose, A: 13, Var: 0, B: 1, Seed: 304},
+			{Kind: oracle.KApply, Op: oracle.OpXor, A: 2, B: 5, Seed: 305},
+			{Kind: oracle.KCompose, A: 14, Var: 0, B: 21, Seed: 306},
+			{Kind: oracle.KReorder, A: 22, Seed: 307},
+			{Kind: oracle.KCompose, A: 17, Var: 6, B: 15, Seed: 308},
+			{Kind: oracle.KEval, A: 23, Seed: 309},
+		},
+	}
+	rep := oracle.Run(seq, oracle.DefaultEngines())
+	if rep.Div != nil {
+		t.Fatalf("%s\ntrace:\n%s", rep.Div, rep.Seq)
+	}
+}
+
 // TestSpillOp pins a sequence with explicit spill ops so the memory-tier
 // round trip (spill → sig unchanged → unspill → sig unchanged, cross-
 // engine) runs even when generated sequences happen not to draw one, and

@@ -84,13 +84,18 @@ const (
 	// unspill, and re-verify — the memory tier must be invisible to the
 	// function semantics. Checking.
 	KSpill
+	// KITE: slots += ITE(slot A, slot B, slot C). Producing.
+	KITE
+	// KCompose: slots += (slot A)[Var := slot B], the composition that
+	// substitutes slot B's function for variable Var. Producing.
+	KCompose
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"apply", "not", "restrict", "exists", "forall", "circuit",
 	"meta", "eval", "anysat", "satcount", "gc", "reorder", "snapshot", "abort",
-	"compile", "spill",
+	"compile", "spill", "ite", "compose",
 }
 
 // String returns the kind mnemonic.
@@ -111,6 +116,7 @@ type OpRec struct {
 	Op       core.Op `json:"op,omitempty"`
 	A        int     `json:"a,omitempty"`
 	B        int     `json:"b,omitempty"`
+	C        int     `json:"c,omitempty"`
 	Var      int     `json:"var,omitempty"`
 	Val      bool    `json:"val,omitempty"`
 	VarsMask uint32  `json:"mask,omitempty"`
@@ -154,6 +160,10 @@ func (r OpRec) String() string {
 		return fmt.Sprintf("compile seed%d", r.Seed)
 	case KSpill:
 		return fmt.Sprintf("spill s%d", r.A)
+	case KITE:
+		return fmt.Sprintf("ite s%d s%d s%d", r.A, r.B, r.C)
+	case KCompose:
+		return fmt.Sprintf("compose s%d v%d s%d", r.A, r.Var, r.B)
 	}
 	return r.Kind.String()
 }
@@ -162,7 +172,7 @@ func (r OpRec) String() string {
 // many (circuits append up to circuitMaxOutputs).
 func (r OpRec) producing() bool {
 	switch r.Kind {
-	case KApply, KNot, KRestrict, KExists, KForall, KCircuit:
+	case KApply, KNot, KRestrict, KExists, KForall, KCircuit, KITE, KCompose:
 		return true
 	}
 	return false
@@ -213,13 +223,19 @@ func Generate(cfg Config) Sequence {
 	for len(seq.Ops) < cfg.Ops {
 		r := OpRec{Seed: rng.Int63()}
 		switch p := rng.Intn(100); {
-		case p < 50:
+		case p < 46:
 			r.Kind = KApply
 			r.Op = core.Op(rng.Intn(numBinOps))
 			r.A, r.B = rng.Intn(slots), rng.Intn(slots)
 			if rng.Intn(8) == 0 {
 				r.B = r.A // same-operand applies hit the f==g terminal rules
 			}
+		case p < 48:
+			r.Kind = KITE
+			r.A, r.B, r.C = rng.Intn(slots), rng.Intn(slots), rng.Intn(slots)
+		case p < 50:
+			r.Kind = KCompose
+			r.A, r.B, r.Var = rng.Intn(slots), rng.Intn(slots), rng.Intn(cfg.Vars)
 		case p < 57:
 			r.Kind = KNot
 			r.A = rng.Intn(slots)

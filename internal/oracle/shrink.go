@@ -106,6 +106,12 @@ func (sh *shrinker) normalize(seq Sequence) Sequence {
 			r.Op, r.Var, r.Val, r.VarsMask = 0, 0, false, 0
 		case KSnapshot, KCompile:
 			r.Op, r.A, r.B, r.Var, r.Val, r.VarsMask = 0, 0, 0, 0, false, 0
+		case KITE:
+			r.A, r.B, r.C = r.A%slots, r.B%slots, r.C%slots
+			r.Op, r.Var, r.Val, r.VarsMask = 0, 0, false, 0
+		case KCompose:
+			r.A, r.B, r.Var = r.A%slots, r.B%slots, r.Var%seq.Vars
+			r.Op, r.Val, r.VarsMask = 0, false, 0
 		}
 		if r.producing() {
 			if r.Kind == KCircuit {
@@ -139,7 +145,7 @@ func (sh *shrinker) shrinkVars(seq Sequence) Sequence {
 var kindIdents = [numKinds]string{
 	"KApply", "KNot", "KRestrict", "KExists", "KForall", "KCircuit",
 	"KMeta", "KEval", "KAnySat", "KSatCount", "KGC", "KReorder", "KSnapshot", "KAbort",
-	"KCompile", "KSpill",
+	"KCompile", "KSpill", "KITE", "KCompose",
 }
 
 var opIdents = [numBinOps]string{
@@ -175,6 +181,9 @@ func recLiteral(r OpRec) string {
 	}
 	if r.B != 0 {
 		parts = append(parts, fmt.Sprintf("B: %d", r.B))
+	}
+	if r.C != 0 {
+		parts = append(parts, fmt.Sprintf("C: %d", r.C))
 	}
 	if r.Var != 0 {
 		parts = append(parts, fmt.Sprintf("Var: %d", r.Var))

@@ -138,6 +138,31 @@ func (t Truth) Restrict(v int, val bool) Truth {
 	return out
 }
 
+// ITE is if-then-else: t ? g : h, word-wise.
+func (t Truth) ITE(g, h Truth) Truth {
+	out := Truth{Vars: t.Vars, W: make([]uint64, len(t.W))}
+	for i := range t.W {
+		out.W[i] = t.W[i]&g.W[i] | h.W[i]&^t.W[i]
+	}
+	return out
+}
+
+// Compose substitutes g for variable v: on row r the result is t's value
+// on r with v's bit replaced by g's value on r.
+func (t Truth) Compose(v int, g Truth) Truth {
+	out := Truth{Vars: t.Vars, W: make([]uint64, len(t.W))}
+	for r := 0; r < t.rows(); r++ {
+		src := r &^ (1 << v)
+		if g.Bit(r) {
+			src |= 1 << v
+		}
+		if t.Bit(src) {
+			out.setBit(r)
+		}
+	}
+	return out
+}
+
 // quantVar folds one variable out: exists (OR of cofactors) when ex,
 // forall (AND) otherwise.
 func (t Truth) quantVar(v int, ex bool) Truth {

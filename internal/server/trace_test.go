@@ -443,3 +443,51 @@ func TestTraceOffCostsNothingVisible(t *testing.T) {
 		t.Fatalf("untraced workload left %d traces in the ring", n)
 	}
 }
+
+// TestTraceCompositeRoutes asserts that the composite write routes run
+// their builds under the request's trace: each answers with a
+// kernel-build span that carries per-level phase spans.
+func TestTraceCompositeRoutes(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	sid := createSession(t, ts.URL, SessionOptions{Vars: 6})
+	v := make([]uint64, 6)
+	for i := range v {
+		v[i] = mkVar(t, ts.URL, sid, i, false)
+	}
+	f := apply(t, ts.URL, sid, "or", apply(t, ts.URL, sid, "and", v[0], v[3]), apply(t, ts.URL, sid, "xor", v[1], v[4]))
+	g := apply(t, ts.URL, sid, "xor", v[2], v[5])
+	for _, c := range []struct {
+		route string
+		body  map[string]any
+	}{
+		{"ite", map[string]any{"f": f, "g": g, "h": v[5]}},
+		{"not", map[string]any{"f": f}},
+		{"quantify", map[string]any{"kind": "exists", "f": f, "vars": []int{3, 4}}},
+		{"quantify", map[string]any{"kind": "forall", "f": f, "vars": []int{0}}},
+		{"restrict", map[string]any{"f": f, "var": 4, "value": true}},
+		{"compose", map[string]any{"f": f, "var": 3, "g": g}},
+	} {
+		body, _ := json.Marshal(c.body)
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+sid+"/"+c.route+"?trace=1",
+			"application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("traced %s -> %d: %s", c.route, resp.StatusCode, raw)
+		}
+		ex := fetchTrace(t, ts.URL, resp.Header.Get("X-Bfbdd-Trace"))
+		build := spanByName(t, ex, "kernel-build")
+		phases := 0
+		for _, sp := range ex.Spans {
+			if (sp.Name == "expand" || sp.Name == "reduce") && sp.Parent == build.Span {
+				phases++
+			}
+		}
+		if phases == 0 {
+			t.Fatalf("%s %v: kernel-build has no per-level phase spans", c.route, c.body)
+		}
+	}
+}

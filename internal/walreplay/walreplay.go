@@ -156,14 +156,14 @@ func (st *State) Run(ctx context.Context, rec wal.Record) (res []*bfbdd.BDD, err
 		return nil, nil
 	case wal.VarRec:
 		if r.Negated {
-			return one(m.NVar(r.Index))
+			return one(m.NVar(r.Index), nil)
 		}
-		return one(m.Var(r.Index))
+		return one(m.Var(r.Index), nil)
 	case wal.ConstRec:
 		if r.Value {
-			return one(m.One())
+			return one(m.One(), nil)
 		}
-		return one(m.Zero())
+		return one(m.Zero(), nil)
 	case wal.ApplyRec:
 		return st.applyOps(ctx, []wal.ApplyRec{r})
 	case wal.BatchRec:
@@ -173,34 +173,34 @@ func (st *State) Run(ctx context.Context, rec wal.Record) (res []*bfbdd.BDD, err
 		if err != nil {
 			return nil, err
 		}
-		return one(fs[0].ITE(fs[1], fs[2]))
+		return one(m.ITECtx(ctx, fs[0], fs[1], fs[2]))
 	case wal.NotRec:
 		f, err := st.Get(r.F)
 		if err != nil {
 			return nil, err
 		}
-		return one(f.Not())
+		return one(m.NotCtx(ctx, f))
 	case wal.QuantifyRec:
 		f, err := st.Get(r.F)
 		if err != nil {
 			return nil, err
 		}
 		if r.Forall {
-			return one(f.Forall(r.Vars...))
+			return one(m.ForallCtx(ctx, f, r.Vars...))
 		}
-		return one(f.Exists(r.Vars...))
+		return one(m.ExistsCtx(ctx, f, r.Vars...))
 	case wal.RestrictRec:
 		f, err := st.Get(r.F)
 		if err != nil {
 			return nil, err
 		}
-		return one(f.Restrict(r.Var, r.Value))
+		return one(m.RestrictCtx(ctx, f, r.Var, r.Value))
 	case wal.ComposeRec:
 		fs, err := st.getAll(r.F, r.G)
 		if err != nil {
 			return nil, err
 		}
-		return one(fs[0].Compose(r.Var, fs[1]))
+		return one(m.ComposeCtx(ctx, fs[0], r.Var, fs[1]))
 	case wal.FreeRec:
 		// The free is all-or-nothing: every handle must be bound, and a
 		// handle listed twice is a double free.
@@ -331,7 +331,13 @@ func mapHandles(rec wal.Record, f func(i int, h uint64) uint64) wal.Record {
 	return rec
 }
 
-func one(b *bfbdd.BDD) ([]*bfbdd.BDD, error) { return []*bfbdd.BDD{b}, nil }
+// one wraps a single-result operation's outcome as a result list.
+func one(b *bfbdd.BDD, err error) ([]*bfbdd.BDD, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*bfbdd.BDD{b}, nil
+}
 
 // release frees results that will never be bound.
 func release(res []*bfbdd.BDD) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bfbdd"
@@ -266,5 +267,95 @@ func TestExecStampsCommitsThenBinds(t *testing.T) {
 	if len(rt.Handles) != len(st.Handles) || rt.NextHandle != st.NextHandle {
 		t.Fatalf("replayed %d handles (next %d), live has %d (next %d)",
 			len(rt.Handles), rt.NextHandle, len(st.Handles), st.NextHandle)
+	}
+}
+
+// countdownCtx is a context whose Err starts returning
+// context.DeadlineExceeded after allow calls: a deadline that passes
+// at a deterministic point of a build instead of a wall-clock one.
+type countdownCtx struct {
+	context.Context
+	remaining atomic.Int64
+	done      chan struct{}
+}
+
+func newCountdownCtx(allow int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background(), done: make(chan struct{})}
+	c.remaining.Store(allow)
+	return c
+}
+
+func (c *countdownCtx) Done() <-chan struct{} { return c.done }
+
+func (c *countdownCtx) Err() error {
+	if c.remaining.Add(-1) < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestRunHonoursDeadline runs each composite record kind under a
+// deadline that passes at the build's first poll. The deadline error must
+// come back, every live handle must keep its canonical structure, and the
+// same record must then run to the result the plain call gives.
+func TestRunHonoursDeadline(t *testing.T) {
+	m := bfbdd.New(12, bfbdd.WithEngine(bfbdd.EnginePar), bfbdd.WithWorkers(2),
+		bfbdd.WithEvalThreshold(16), bfbdd.WithGroupSize(4))
+	defer m.Close()
+	st := NewState(m)
+	// Three dense functions over all 12 variables: sums of products with
+	// different strides, so no operation below is a terminal case.
+	for h := uint64(1); h <= 3; h++ {
+		f := m.Zero()
+		for i := 0; i < 12; i++ {
+			j, k := (i+int(h))%12, (i+2*int(h)+1)%12
+			f = f.Xor(m.Var(i).And(m.Var(j).Or(m.Var(k))))
+		}
+		st.Set(h, f)
+	}
+	sigs := func() [][]uint64 {
+		var out [][]uint64
+		for _, h := range st.IDs() {
+			out = append(out, m.Kernel().CanonicalSignature([]node.Ref{st.Handles[h].Ref()}))
+		}
+		return out
+	}
+	f, g, h := st.Handles[1], st.Handles[2], st.Handles[3]
+	cases := []struct {
+		rec  wal.Record
+		want func() *bfbdd.BDD
+	}{
+		{wal.ITERec{F: 1, G: 2, H: 3}, func() *bfbdd.BDD { return f.ITE(g, h) }},
+		{wal.NotRec{F: 1}, func() *bfbdd.BDD { return f.Not() }},
+		{wal.QuantifyRec{F: 1, Vars: []int{2, 7, 10}}, func() *bfbdd.BDD { return f.Exists(2, 7, 10) }},
+		{wal.QuantifyRec{Forall: true, F: 2, Vars: []int{0, 5}}, func() *bfbdd.BDD { return g.Forall(0, 5) }},
+		{wal.RestrictRec{F: 3, Var: 6, Value: true}, func() *bfbdd.BDD { return h.Restrict(6, true) }},
+		{wal.ComposeRec{F: 1, G: 2, Var: 4}, func() *bfbdd.BDD { return f.Compose(4, g) }},
+	}
+	for _, c := range cases {
+		name := c.rec.Kind().String()
+		if q, ok := c.rec.(wal.QuantifyRec); ok && q.Forall {
+			name += "-forall"
+		}
+		t.Run(name, func(t *testing.T) {
+			before := sigs()
+			res, err := st.Run(newCountdownCtx(1), c.rec)
+			if !errors.Is(err, context.DeadlineExceeded) || res != nil {
+				t.Fatalf("Run past its deadline: res=%v err=%v, want the deadline error", res, err)
+			}
+			if !reflect.DeepEqual(sigs(), before) {
+				t.Fatal("an aborted build changed a live handle's structure")
+			}
+			res, err = st.Run(context.Background(), c.rec)
+			if err != nil || len(res) != 1 {
+				t.Fatalf("Run after the abort: res=%v err=%v", res, err)
+			}
+			want := c.want()
+			if !res[0].Equal(want) {
+				t.Fatal("Run after the abort gave a different function than the plain call")
+			}
+			release(res)
+			want.Free()
+		})
 	}
 }
